@@ -764,7 +764,7 @@ fn dual_bound(
 mod tests {
     use super::*;
     use regalloc_ilp::cert::NodeCert;
-    use regalloc_ilp::{solve, SolverConfig};
+    use regalloc_ilp::{solve_seeded, Deadline, SolverConfig};
     use regalloc_lint::diag::Code;
 
     fn cert_cfg() -> SolverConfig {
@@ -785,7 +785,7 @@ mod tests {
     }
 
     fn solved_cert(m: &Model) -> (Solution, Certificate) {
-        let sol = solve(m, &cert_cfg(), None);
+        let sol = solve_seeded(m, &cert_cfg(), &[], Deadline::unlimited());
         let cert = sol.certificate.clone().expect("certificate");
         (sol, cert)
     }
@@ -819,7 +819,7 @@ mod tests {
     #[test]
     fn missing_certificate_flagged() {
         let m = cycle_model(3);
-        let mut sol = solve(&m, &SolverConfig::default(), None);
+        let mut sol = solve_seeded(&m, &SolverConfig::default(), &[], Deadline::unlimited());
         assert!(sol.certificate.is_none());
         let out = audit_solution(&m, &sol);
         assert_eq!(out.verdict, Verdict::Missing);

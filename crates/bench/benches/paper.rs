@@ -1,6 +1,6 @@
 //! Criterion benchmarks over the paper's moving parts: model building,
-//! LP relaxation, full IP allocation, the coloring baseline, and the
-//! x86-vs-RISC model-size effect (the timing counterpart of the
+//! LP relaxation, full validated IP allocation, the coloring baseline,
+//! and the x86-vs-RISC model-size effect (the timing counterpart of the
 //! `table*`/`fig*` report binaries).
 
 use std::time::Duration;
@@ -10,7 +10,7 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
 use regalloc_coloring::ColoringAllocator;
-use regalloc_core::IpAllocator;
+use regalloc_core::{IpAllocator, RobustAllocator};
 use regalloc_ilp::simplex::solve_lp;
 use regalloc_ilp::SolverConfig;
 use regalloc_ir::Function;
@@ -80,7 +80,7 @@ fn bench_lp_relaxation(c: &mut Criterion) {
 
 fn bench_ip_allocation(c: &mut Criterion) {
     let machine = X86Machine::pentium();
-    let ip = IpAllocator::new(&machine).with_solver_config(quick_solver());
+    let ip = RobustAllocator::new(&machine).with_solver_config(quick_solver());
     let mut g = c.benchmark_group("ip_allocate");
     g.sample_size(10);
     for insts in [10usize, 25] {

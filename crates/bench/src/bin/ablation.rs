@@ -13,7 +13,7 @@
 //! six registers.
 
 use regalloc_bench::Options;
-use regalloc_core::IpAllocator;
+use regalloc_core::RobustAllocator;
 use regalloc_workloads::{Benchmark, Suite};
 use regalloc_x86::X86Machine;
 
@@ -29,16 +29,16 @@ fn main() {
         "config", "funcs", "rows", "vars", "optimal", "overhead", "bytes"
     );
     for (name, machine) in configs {
-        let ip = IpAllocator::new(&machine).with_solver_config(o.solver());
+        let ip = RobustAllocator::new(&machine).with_solver_config(o.solver());
         let (mut rows, mut vars, mut optimal, mut overhead, mut bytes, mut n) =
             (0usize, 0usize, 0usize, 0i64, 0i64, 0usize);
         for b in [Benchmark::Xlisp, Benchmark::Compress] {
             let suite = Suite::generate_scaled(b, o.seed, (o.scale * 0.5).max(0.01));
             for f in suite.functions.iter().filter(|f| !f.uses_64bit()) {
                 let out = ip.allocate(f).expect("attempted");
-                rows += out.num_constraints;
-                vars += out.num_vars;
-                optimal += out.solved_optimally as usize;
+                rows += out.report.num_constraints;
+                vars += out.report.num_vars;
+                optimal += out.report.solved_optimally() as usize;
                 overhead += out.stats.overhead_cycles();
                 bytes += out.stats.code_bytes;
                 n += 1;

@@ -31,10 +31,10 @@ struct Row {
     variables: usize,
 }
 
-fn measure(o: &Options, pool: &[Function]) -> Vec<Row> {
+fn measure(pool: &[Function]) -> Vec<Row> {
     let mut rows = Vec::new();
     for (t, m) in targets::all() {
-        let ip = IpAllocator::new(m.as_ref()).with_solver_config(o.solver());
+        let ip = IpAllocator::new(m.as_ref());
         let (mut n, mut c, mut v) = (0usize, 0usize, 0usize);
         for f in pool {
             if refuses(m.as_ref(), f) {
@@ -113,12 +113,12 @@ fn main() {
     print_table(
         "portable 16-bit pool — every target attempts",
         portable.len(),
-        &measure(&o, &portable),
+        &measure(&portable),
     );
     print_table(
         "classic 32-bit pool — the paper's workload mix",
         classic.len(),
-        &measure(&o, &classic),
+        &measure(&classic),
     );
     println!("paper: fewer allocatable registers -> a smaller 0-1 model; the x86's");
     println!("       irregularity is a size advantage, and the MCU (8 registers,");

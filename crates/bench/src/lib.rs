@@ -11,7 +11,7 @@
 //! | `table3` | Table 3 — dynamic spill-overhead components, IP vs GCC |
 //! | `fig9` | Fig. 9 — IP constraints vs intermediate instructions |
 //! | `fig10` | Fig. 10 — optimal solution time vs constraints |
-//! | `risc_compare` | §6 — x86 model size vs the 24-register RISC model |
+//! | `targets` | §6 — IP model size per target, incl. x86 vs the 24-register RISC |
 //!
 //! All binaries accept `--scale <f>` (fraction of each benchmark's
 //! function count, default 0.2), `--seed <n>` (default 1998) and
@@ -186,7 +186,6 @@ impl Options {
             equiv_seed: self.seed,
             compare_baseline: true,
             lint: true,
-            revalidate_cache: true,
             warm_starts: self.warm_starts,
             warm_start_distance: 0.25,
             audit: self.audit,

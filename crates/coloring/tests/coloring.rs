@@ -253,7 +253,7 @@ fn copies_deleted_by_coalescing() {
 fn baseline_is_never_better_than_ip_on_these() {
     // The headline claim, in miniature: on a few hand-built functions the
     // IP allocator's overhead is at most the baseline's.
-    use regalloc_core::IpAllocator;
+    use regalloc_core::{ReasonCode, RobustAllocator};
     let m = X86Machine::pentium();
     let mut worse = 0;
     for variant in 0..4 {
@@ -273,7 +273,20 @@ fn baseline_is_never_better_than_ip_on_these() {
             b.ret(Some(z));
         }
         let f = b.finish();
-        let ip = IpAllocator::new(&m).allocate(&f).unwrap();
+        let ip = RobustAllocator::new(&m).allocate(&f).unwrap();
+        // A wrong IP candidate would be demoted to a rung whose overhead
+        // proves nothing about the IP model.
+        assert!(
+            !ip.report.demotions.iter().any(|d| matches!(
+                d.reason,
+                ReasonCode::Panic
+                    | ReasonCode::ValidationFailed
+                    | ReasonCode::EquivalenceFailed
+                    | ReasonCode::StaticValidationFailed
+            )),
+            "{:?}",
+            ip.report.demotions
+        );
         let gc = ColoringAllocator::new(&m).allocate(&f).unwrap();
         check::equivalent::<X86RegFile>(&f, &gc.func, 4, 77).unwrap();
         if ip.stats.overhead_cycles() > gc.stats.overhead_cycles() {

@@ -34,18 +34,22 @@
 //!    substituted, spill loads/stores/rematerialisations/copies inserted,
 //!    deletable copies removed.
 //!
-//! Functions the solver cannot finish within its budget receive the
-//! [`fallback`] spill-everything allocation (as unsolved functions fell
-//! back to GCC's allocator in the paper), so [`IpAllocator::allocate`]
-//! always returns runnable code; [`AllocOutcome::solved`] and
-//! [`AllocOutcome::solved_optimally`] carry the Table 2 taxonomy.
+//! [`RobustAllocator`] runs the three modules as one validated pipeline:
+//! every candidate allocation passes structural verification, the static
+//! translation validator and interpreter equivalence before it is
+//! accepted. Functions the solver cannot finish within its budget
+//! receive the spill-everything warm start or the [`fallback`] allocation
+//! (as unsolved functions fell back to GCC's allocator in the paper), so
+//! [`RobustAllocator::allocate`] always returns runnable code;
+//! [`AllocReport::solved`] and [`AllocReport::solved_optimally`] carry the
+//! Table 2 taxonomy. [`IpAllocator`] builds the integer program alone.
 //!
 //! # Example
 //!
 //! ```
 //! use regalloc_ir::{FunctionBuilder, Width, BinOp, Operand};
 //! use regalloc_x86::X86Machine;
-//! use regalloc_core::IpAllocator;
+//! use regalloc_core::RobustAllocator;
 //!
 //! let mut b = FunctionBuilder::new("f");
 //! let p = b.new_param("p", Width::B32);
@@ -57,8 +61,8 @@
 //! let f = b.finish();
 //!
 //! let machine = X86Machine::pentium();
-//! let out = IpAllocator::new(&machine).allocate(&f).unwrap();
-//! assert!(out.solved_optimally);
+//! let out = RobustAllocator::new(&machine).allocate(&f).unwrap();
+//! assert!(out.report.solved_optimally());
 //! assert!(regalloc_ir::verify_allocated(&out.func).is_ok());
 //! ```
 
@@ -75,9 +79,6 @@ pub mod symbolic;
 pub mod targets;
 pub mod warm;
 
-use std::time::{Duration, Instant};
-
-use regalloc_ilp::{solve, SolverConfig, Status};
 use regalloc_ir::{Cfg, Function, Liveness, LoopInfo, Profile};
 use regalloc_machine::{refuses, Machine};
 
@@ -97,9 +98,8 @@ pub enum AllocError {
     /// "not attempted" 64-bit rule of Table 2, generalised: the MCU model
     /// additionally refuses 32-bit values).
     WidthRefused,
-    /// The solver produced no usable solution and the spill-everything
-    /// fallback itself failed (a machine model without enough scratch
-    /// registers for some instruction shape).
+    /// The spill-everything fallback failed (a machine model without
+    /// enough scratch registers for some instruction shape).
     Fallback(fallback::FallbackError),
     /// Every rung of the [`pipeline::RobustAllocator`] degradation
     /// ladder failed to produce a validated allocation — including the
@@ -123,158 +123,28 @@ impl std::fmt::Display for AllocError {
 
 impl std::error::Error for AllocError {}
 
-/// The result of allocating one function.
-#[derive(Clone, Debug)]
-pub struct AllocOutcome {
-    /// The rewritten function (all registers physical, spill code
-    /// inserted). When `solved` is false this is the [`fallback`]
-    /// allocation.
-    pub func: Function,
-    /// Spill-code accounting for the Table 3 comparison.
-    pub stats: SpillStats,
-    /// True if the IP solver produced the allocation (Table 2 "solved").
-    pub solved: bool,
-    /// True if the solver also proved optimality (Table 2 "optimal").
-    pub solved_optimally: bool,
-    /// Constraints in the integer program (Figs. 9 and 10).
-    pub num_constraints: usize,
-    /// Decision variables in the integer program.
-    pub num_vars: usize,
-    /// Intermediate instructions analysed (x-axis of Fig. 9).
-    pub num_insts: usize,
-    /// Time spent in the IP solver.
-    pub solve_time: Duration,
-    /// Time spent building the model.
-    pub build_time: Duration,
-    /// Branch-and-bound nodes used.
-    pub solver_nodes: u64,
-}
-
-/// The integer-programming register allocator.
-///
-/// Construct with a [`Machine`] model, optionally adjust the cost weights
-/// and solver budget, then call [`IpAllocator::allocate`] per function.
+/// The integer-programming model builder: analysis plus model
+/// construction with the paper's cost weights, without solving. The
+/// model-size experiments (Figs. 9/10) and certificate re-audits use it;
+/// allocation goes through [`RobustAllocator`].
 #[derive(Clone, Debug)]
 pub struct IpAllocator<'m, M: ?Sized> {
     machine: &'m M,
-    cost: CostModel,
-    solver: SolverConfig,
 }
 
 impl<'m, M: Machine + ?Sized> IpAllocator<'m, M> {
-    /// An allocator with the paper's experimental cost weights
-    /// (`B = 1000`, `C = 0`) and the default solver budget.
+    /// A model builder for `machine` with the paper's experimental cost
+    /// weights (`B = 1000`, `C = 0`).
     pub fn new(machine: &'m M) -> IpAllocator<'m, M> {
-        IpAllocator {
-            machine,
-            cost: CostModel::paper(),
-            solver: SolverConfig::default(),
-        }
+        IpAllocator { machine }
     }
 
-    /// Replace the cost model (e.g. [`CostModel::size_only`] for embedded
-    /// code-size optimisation, §4).
-    pub fn with_cost_model(mut self, cost: CostModel) -> Self {
-        self.cost = cost;
-        self
-    }
-
-    /// Replace the solver budget (the paper's analogue is the CPLEX
-    /// 1024-second per-function limit).
-    pub fn with_solver_config(mut self, solver: SolverConfig) -> Self {
-        self.solver = solver;
-        self
-    }
-
-    /// The machine model in use.
-    pub fn machine(&self) -> &M {
-        self.machine
-    }
-
-    /// Allocate registers for `f`.
+    /// Build the integer program without solving it.
     ///
     /// # Errors
     ///
     /// Returns [`AllocError::WidthRefused`] for functions the allocator
     /// does not attempt on this machine.
-    pub fn allocate(&self, f: &Function) -> Result<AllocOutcome, AllocError> {
-        if refuses(self.machine, f) {
-            return Err(AllocError::WidthRefused);
-        }
-        let cfg = Cfg::new(f);
-        let loops = LoopInfo::new(f, &cfg);
-        let profile = Profile::estimate(f, &cfg, &loops);
-        self.allocate_with_profile(f, &cfg, &profile)
-    }
-
-    /// Allocate with an externally supplied profile (the factor *A* of the
-    /// cost model).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AllocError::WidthRefused`] for functions the allocator
-    /// does not attempt on this machine.
-    pub fn allocate_with_profile(
-        &self,
-        f: &Function,
-        cfg: &Cfg,
-        profile: &Profile,
-    ) -> Result<AllocOutcome, AllocError> {
-        if refuses(self.machine, f) {
-            return Err(AllocError::WidthRefused);
-        }
-        let live = Liveness::new(f, cfg);
-
-        let t0 = Instant::now();
-        let analysis = analysis::analyze(f, cfg, &live, self.machine);
-        let built = build::build_model(f, cfg, profile, &analysis, self.machine, &self.cost);
-        let build_time = t0.elapsed();
-
-        let num_constraints = built.model.num_rows();
-        let num_vars = built.model.num_vars();
-
-        // Seed the search with the spill-everything assignment: the solver
-        // then always has an allocation to return (Table 2 "solved") and
-        // an upper bound to prune against from the first node. A machine
-        // model without an admissible scratch register somewhere yields no
-        // warm start; the solver then runs cold.
-        let warm = warm::spill_everything_assignment(f, &analysis, &built, self.machine);
-        let sol = solve(&built.model, &self.solver, warm.as_deref());
-        let solve_time = sol.solve_time;
-        // Table 2 semantics: "solved" means the *solver* produced an
-        // allocation (an optimality proof or an incumbent it found
-        // itself); returning only the seeded warm start counts as
-        // unsolved, exactly as a CPLEX timeout with no incumbent did in
-        // the paper — though the warm-start allocation is still used for
-        // the emitted code.
-        let (solved, optimal) = match sol.status {
-            Status::Optimal => (true, true),
-            Status::Feasible => (!sol.warm_start_only, false),
-            Status::Infeasible | Status::Unknown | Status::NumericalTrouble => (false, false),
-        };
-
-        let (func, stats) = if sol.has_solution() {
-            rewrite::apply(f, profile, &analysis, &built, &sol.values, self.machine)
-        } else {
-            fallback::spill_everything(f, profile, self.machine).map_err(AllocError::Fallback)?
-        };
-
-        Ok(AllocOutcome {
-            func,
-            stats,
-            solved,
-            solved_optimally: optimal,
-            num_constraints,
-            num_vars,
-            num_insts: f.num_insts(),
-            solve_time,
-            build_time,
-            solver_nodes: sol.nodes,
-        })
-    }
-
-    /// Build the integer program without solving it (used by the model-
-    /// size experiments, Figs. 9/10 and the x86-vs-RISC comparison).
     pub fn build_only(&self, f: &Function) -> Result<build::BuiltModel, AllocError> {
         if refuses(self.machine, f) {
             return Err(AllocError::WidthRefused);
@@ -290,7 +160,7 @@ impl<'m, M: Machine + ?Sized> IpAllocator<'m, M> {
             &profile,
             &analysis,
             self.machine,
-            &self.cost,
+            &CostModel::paper(),
         ))
     }
 }

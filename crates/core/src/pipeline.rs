@@ -401,8 +401,8 @@ pub trait BaselineAllocator {
     ) -> Result<(Function, SpillStats), String>;
 }
 
-/// The fault-tolerant allocator: [`crate::IpAllocator`]'s pipeline wrapped
-/// in the validated degradation ladder described in the module docs.
+/// The allocator: analysis, model build, solve and rewrite wrapped in the
+/// validated degradation ladder described in the module docs.
 ///
 /// Interpreter-equivalence validation runs on the register file the
 /// machine model itself supplies ([`Machine::new_regfile`]), so the
@@ -528,11 +528,6 @@ impl<'m, M: Machine + ?Sized> RobustAllocator<'m, M> {
         self
     }
 
-    /// The machine model in use.
-    pub fn machine(&self) -> &M {
-        self.machine
-    }
-
     /// Validate a candidate: structural verification, then interpreter
     /// equivalence against the original function.
     fn validate(
@@ -608,39 +603,6 @@ impl<'m, M: Machine + ?Sized> RobustAllocator<'m, M> {
         let cfg = Cfg::new(f);
         let loops = LoopInfo::new(f, &cfg);
         let profile = Profile::estimate(f, &cfg, &loops);
-        self.allocate_with_profile_traced(f, &cfg, &profile, tracer)
-    }
-
-    /// Allocate with an externally supplied profile.
-    ///
-    /// # Errors
-    ///
-    /// See [`RobustAllocator::allocate`].
-    pub fn allocate_with_profile(
-        &self,
-        f: &Function,
-        cfg: &Cfg,
-        profile: &Profile,
-    ) -> Result<RobustOutcome, AllocError> {
-        self.allocate_with_profile_traced(f, cfg, profile, &Tracer::off())
-    }
-
-    /// [`RobustAllocator::allocate_with_profile`] with a trace recorder
-    /// (see [`RobustAllocator::allocate_traced`]).
-    ///
-    /// # Errors
-    ///
-    /// See [`RobustAllocator::allocate`].
-    pub fn allocate_with_profile_traced(
-        &self,
-        f: &Function,
-        cfg: &Cfg,
-        profile: &Profile,
-        tracer: &Tracer,
-    ) -> Result<RobustOutcome, AllocError> {
-        if refuses(self.machine, f) {
-            return Err(AllocError::WidthRefused);
-        }
         let deadline = Deadline::after(self.budget);
         let mut demotions: Vec<Demotion> = Vec::new();
         let mut health = SolverHealth::default();
@@ -663,10 +625,10 @@ impl<'m, M: Machine + ?Sized> RobustAllocator<'m, M> {
             let _s = tracer.span(Phase::Build);
             catch_unwind(AssertUnwindSafe(|| {
                 assert!(!faults.panic_in_build, "fault injection: panic_in_build");
-                let live = Liveness::new(f, cfg);
-                let analysis = analysis::analyze(f, cfg, &live, self.machine);
+                let live = Liveness::new(f, &cfg);
+                let analysis = analysis::analyze(f, &cfg, &live, self.machine);
                 let built =
-                    build::build_model(f, cfg, profile, &analysis, self.machine, &self.cost);
+                    build::build_model(f, &cfg, &profile, &analysis, self.machine, &self.cost);
                 let warm = warm::spill_everything_assignment(f, &analysis, &built, self.machine);
                 (analysis, built, warm)
             }))
@@ -952,7 +914,7 @@ impl<'m, M: Machine + ?Sized> RobustAllocator<'m, M> {
                             !faults.panic_in_rewrite,
                             "fault injection: panic_in_rewrite"
                         );
-                        rewrite::apply(f, profile, &analysis, &built, &values, self.machine)
+                        rewrite::apply(f, &profile, &analysis, &built, &values, self.machine)
                     }))
                 };
                 let (func, stats) = match cand {
@@ -993,7 +955,7 @@ impl<'m, M: Machine + ?Sized> RobustAllocator<'m, M> {
             Some(baseline) => {
                 let cand = {
                     let _s = tracer.span(Phase::Baseline);
-                    catch_unwind(AssertUnwindSafe(|| baseline.allocate_baseline(f, profile)))
+                    catch_unwind(AssertUnwindSafe(|| baseline.allocate_baseline(f, &profile)))
                 };
                 match cand {
                     Ok(Ok((func, stats))) => {
@@ -1020,7 +982,7 @@ impl<'m, M: Machine + ?Sized> RobustAllocator<'m, M> {
         let cand = {
             let _s = tracer.span(Phase::Fallback);
             catch_unwind(AssertUnwindSafe(|| {
-                fallback::spill_everything(f, profile, self.machine)
+                fallback::spill_everything(f, &profile, self.machine)
             }))
         };
         match cand {

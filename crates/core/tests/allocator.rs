@@ -2,16 +2,21 @@
 //! structurally verified, and executed against its symbolic original on
 //! multiple inputs through the bit-accurate x86 register file.
 
-use regalloc_core::{check, fallback, AllocError, AllocOutcome, CostModel, IpAllocator};
+use regalloc_core::{
+    check, fallback, AllocError, CostModel, IpAllocator, RobustAllocator, RobustOutcome,
+};
 use regalloc_ir::{
     verify_allocated, Address, BinOp, Cond, Function, FunctionBuilder, Loc, Operand, Scale, UnOp,
     Width,
 };
 use regalloc_x86::{RiscMachine, RiscRegFile, X86Machine, X86RegFile};
 
-fn alloc_x86(f: &Function) -> AllocOutcome {
+mod common;
+
+fn alloc_x86(f: &Function) -> RobustOutcome {
     let m = X86Machine::pentium();
-    let out = IpAllocator::new(&m).allocate(f).expect("attempted");
+    let out = RobustAllocator::new(&m).allocate(f).expect("attempted");
+    common::assert_no_defect(&out.report);
     verify_allocated(&out.func).unwrap_or_else(|e| panic!("verify: {e:?}\n{}", out.func));
     regalloc_x86::verify_machine(&m, &out.func)
         .unwrap_or_else(|e| panic!("machine verify: {e:?}\n{}", out.func));
@@ -20,9 +25,10 @@ fn alloc_x86(f: &Function) -> AllocOutcome {
     out
 }
 
-fn alloc_risc(f: &Function) -> AllocOutcome {
+fn alloc_risc(f: &Function) -> RobustOutcome {
     let m = RiscMachine::new();
-    let out = IpAllocator::new(&m).allocate(f).expect("attempted");
+    let out = RobustAllocator::new(&m).allocate(f).expect("attempted");
+    common::assert_no_defect(&out.report);
     verify_allocated(&out.func).unwrap_or_else(|e| panic!("verify: {e:?}\n{}", out.func));
     check::equivalent::<RiscRegFile>(f, &out.func, 6, 0xfeed)
         .unwrap_or_else(|e| panic!("equivalence: {e}\noriginal:\n{f}\nallocated:\n{}", out.func));
@@ -41,7 +47,7 @@ fn straightline_no_spills_needed() {
     b.ret(Some(z));
     let f = b.finish();
     let out = alloc_x86(&f);
-    assert!(out.solved_optimally);
+    assert!(out.report.solved_optimally());
     assert_eq!(out.stats.loads, 0);
     assert_eq!(out.stats.stores, 0);
     assert_eq!(out.stats.total_insts(), 0, "6 registers suffice: no spills");
@@ -64,7 +70,7 @@ fn two_address_constraint_is_respected() {
     b.ret(Some(w)); // (100+23) - 100 == 23
     let f = b.finish();
     let out = alloc_x86(&f);
-    assert!(out.solved);
+    assert!(out.report.solved());
     // The two-address form must hold in the rewritten code.
     for (_, _, inst) in out.func.insts() {
         if let regalloc_ir::Inst::Bin { dst, lhs, .. } = inst {
@@ -91,7 +97,7 @@ fn commutative_swap_avoids_copy() {
     b.ret(Some(w));
     let f = b.finish();
     let out = alloc_x86(&f);
-    assert!(out.solved_optimally);
+    assert!(out.report.solved_optimally());
     assert_eq!(out.stats.copies, 0, "swap makes the copy unnecessary");
     assert_eq!(out.stats.total_insts(), 0);
 }
@@ -112,7 +118,7 @@ fn non_commutative_with_live_lhs_inserts_copy() {
     b.ret(Some(v)); // (50-8) + 50 == 92
     let f = b.finish();
     let out = alloc_x86(&f);
-    assert!(out.solved_optimally);
+    assert!(out.report.solved_optimally());
     assert_eq!(out.stats.copies, 1, "one §5.1 copy insertion expected");
     assert_eq!(out.stats.loads + out.stats.stores, 0);
 }
@@ -131,7 +137,7 @@ fn copy_deletion() {
     b.ret(Some(z));
     let f = b.finish();
     let out = alloc_x86(&f);
-    assert!(out.solved_optimally);
+    assert!(out.report.solved_optimally());
     assert_eq!(out.stats.copies, -1, "the input copy is deleted");
     let copies_left = out
         .func
@@ -160,7 +166,7 @@ fn spills_under_pressure() {
     b.ret(Some(acc));
     let f = b.finish();
     let out = alloc_x86(&f);
-    assert!(out.solved);
+    assert!(out.report.solved());
     assert!(
         out.stats.total_insts() > 0,
         "pressure must force spill code or rematerialisation"
@@ -190,7 +196,7 @@ fn rematerialisation_beats_reload() {
     b.ret(Some(r));
     let f = b.finish();
     let out = alloc_x86(&f);
-    assert!(out.solved);
+    assert!(out.report.solved());
     assert_eq!(out.stats.stores, 0, "a constant never needs a store");
     assert!(out.stats.remats > 0 || out.stats.total_insts() == 0);
 }
@@ -207,7 +213,7 @@ fn call_forces_callee_saved_or_spill() {
     b.ret(Some(z));
     let f = b.finish();
     let out = alloc_x86(&f);
-    assert!(out.solved_optimally);
+    assert!(out.report.solved_optimally());
     // x survives in a callee-saved register at zero cost.
     assert_eq!(out.stats.total_insts(), 0);
 }
@@ -287,7 +293,7 @@ fn loop_allocation() {
     b.ret(Some(sum)); // 45
     let f = b.finish();
     let out = alloc_x86(&f);
-    assert!(out.solved_optimally);
+    assert!(out.report.solved_optimally());
     assert_eq!(
         out.stats.total_insts(),
         0,
@@ -306,7 +312,7 @@ fn predefined_memory_param_load_is_deleted() {
     b.ret(Some(y));
     let f = b.finish();
     let out = alloc_x86(&f);
-    assert!(out.solved_optimally);
+    assert!(out.report.solved_optimally());
     // §5.5: the defining load is deleted; the value is reloaded (or used
     // as a memory operand) at its use instead.
     let global_loads = out
@@ -342,7 +348,7 @@ fn memory_operand_used_under_pressure() {
     b.ret(Some(z));
     let f = b.finish();
     let out = alloc_x86(&f);
-    assert!(out.solved_optimally);
+    assert!(out.report.solved_optimally());
     // Either a fold (slot operand) or a reload happened; the model picks
     // the cheaper. Verify the function still computes p + 5.
     let has_slot_operand = out.func.insts().any(|(_, _, i)| {
@@ -375,7 +381,7 @@ fn combined_memory_use_def() {
     b.ret(Some(x));
     let f = b.finish();
     let out = alloc_x86(&f);
-    assert!(out.solved_optimally);
+    assert!(out.report.solved_optimally());
 }
 
 #[test]
@@ -394,7 +400,7 @@ fn overlapping_widths_8_and_32() {
     b.ret(Some(y32));
     let f = b.finish();
     let out = alloc_x86(&f);
-    assert!(out.solved_optimally);
+    assert!(out.report.solved_optimally());
     assert_eq!(out.stats.total_insts(), 0);
 }
 
@@ -418,7 +424,7 @@ fn eight_bit_pressure_uses_high_bytes() {
     b.ret(Some(acc));
     let f = b.finish();
     let out = alloc_x86(&f);
-    assert!(out.solved);
+    assert!(out.report.solved());
     assert_eq!(
         out.stats.loads + out.stats.stores,
         0,
@@ -439,7 +445,7 @@ fn risc_machine_allocates_three_address() {
     b.ret(Some(z));
     let f = b.finish();
     let out = alloc_risc(&f);
-    assert!(out.solved_optimally);
+    assert!(out.report.solved_optimally());
     assert_eq!(out.stats.total_insts(), 0);
 }
 
@@ -481,7 +487,7 @@ fn refused_width_functions_are_not_attempted() {
     let f = b.finish();
     let m = X86Machine::pentium();
     assert_eq!(
-        IpAllocator::new(&m).allocate(&f).unwrap_err(),
+        RobustAllocator::new(&m).allocate(&f).unwrap_err(),
         AllocError::WidthRefused
     );
 }
@@ -496,13 +502,14 @@ fn size_only_cost_model_allocates_correctly() {
     b.ret(Some(y));
     let f = b.finish();
     let m = X86Machine::pentium();
-    let out = IpAllocator::new(&m)
+    let out = RobustAllocator::new(&m)
         .with_cost_model(CostModel::size_only())
         .allocate(&f)
         .unwrap();
+    common::assert_no_defect(&out.report);
     verify_allocated(&out.func).unwrap();
     check::equivalent::<X86RegFile>(&f, &out.func, 4, 3).unwrap();
-    assert!(out.solved_optimally);
+    assert!(out.report.solved_optimally());
 }
 
 #[test]
@@ -560,7 +567,7 @@ fn indirect_addressing_allocates_base_and_index() {
     b.ret(Some(v));
     let f = b.finish();
     let out = alloc_x86(&f);
-    assert!(out.solved_optimally);
+    assert!(out.report.solved_optimally());
 }
 
 #[test]
@@ -619,7 +626,7 @@ fn diamond_control_flow_joins() {
     b.ret(Some(r));
     let f = b.finish();
     let out = alloc_x86(&f);
-    assert!(out.solved);
+    assert!(out.report.solved());
 }
 
 #[test]
@@ -641,18 +648,19 @@ fn zero_budget_still_solves_via_warm_start() {
     b.ret(Some(acc));
     let f = b.finish();
     let m = X86Machine::pentium();
-    let out = IpAllocator::new(&m)
+    let out = RobustAllocator::new(&m)
         .with_solver_config(SolverConfig {
             time_limit: Duration::from_millis(0),
             ..Default::default()
         })
         .allocate(&f)
         .unwrap();
+    common::assert_no_defect(&out.report);
     // The warm start guarantees *an* allocation is emitted even with no
     // search budget, but the solver found nothing itself: Table 2 counts
     // this as unsolved.
-    assert!(!out.solved, "zero budget finds nothing of its own");
-    assert!(!out.solved_optimally);
+    assert!(!out.report.solved(), "zero budget finds nothing of its own");
+    assert!(!out.report.solved_optimally());
     verify_allocated(&out.func).unwrap();
     check::equivalent::<X86RegFile>(&f, &out.func, 4, 5).unwrap();
 }

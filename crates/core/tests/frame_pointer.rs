@@ -2,9 +2,11 @@
 //! joins the pool and its bare `[EBP]` addressing-mode penalty enters the
 //! model.
 
-use regalloc_core::{check, IpAllocator};
+use regalloc_core::{check, RobustAllocator};
 use regalloc_ir::{verify_allocated, Address, BinOp, FunctionBuilder, Loc, Operand, Width};
 use regalloc_x86::{regs, Machine, X86Machine, X86RegFile};
+
+mod common;
 
 #[test]
 fn seventh_register_absorbs_pressure() {
@@ -28,10 +30,11 @@ fn seventh_register_absorbs_pressure() {
     };
     let f = build();
     let m7 = X86Machine::with_frame_pointer_free();
-    let out = IpAllocator::new(&m7).allocate(&f).unwrap();
+    let out = RobustAllocator::new(&m7).allocate(&f).unwrap();
+    common::assert_no_defect(&out.report);
     verify_allocated(&out.func).unwrap();
     check::equivalent::<X86RegFile>(&f, &out.func, 4, 11).unwrap();
-    if out.solved_optimally {
+    if out.report.solved_optimally() {
         assert_eq!(
             out.stats.loads + out.stats.stores,
             0,
@@ -62,8 +65,9 @@ fn bare_ebp_addressing_penalty_steers_base_choice() {
     b.ret(Some(v));
     let f = b.finish();
     let m7 = X86Machine::with_frame_pointer_free();
-    let out = IpAllocator::new(&m7).allocate(&f).unwrap();
-    assert!(out.solved_optimally);
+    let out = RobustAllocator::new(&m7).allocate(&f).unwrap();
+    common::assert_no_defect(&out.report);
+    assert!(out.report.solved_optimally());
     check::equivalent::<X86RegFile>(&f, &out.func, 4, 12).unwrap();
     let base_reg = out
         .func
@@ -102,7 +106,8 @@ fn esp_never_chosen_as_scaled_index() {
     b.ret(Some(v));
     let f = b.finish();
     let m8 = X86Machine::with_esp();
-    let out = IpAllocator::new(&m8).allocate(&f).unwrap();
+    let out = RobustAllocator::new(&m8).allocate(&f).unwrap();
+    common::assert_no_defect(&out.report);
     check::equivalent::<X86RegFile>(&f, &out.func, 4, 13).unwrap();
     let idx_reg = out
         .func

@@ -15,7 +15,7 @@ use rand::{Rng, SeedableRng};
 use regalloc_core::build::BuiltModel;
 use regalloc_core::warm::spill_everything_solution;
 use regalloc_core::{analysis, build, CostModel, EventDecision, RoleDecision, SymbolicSolution};
-use regalloc_ilp::{solve, SolverConfig, Status};
+use regalloc_ilp::{solve_seeded, Deadline, Incumbent, SolverConfig, Status};
 use regalloc_ir::{
     BinOp, Cfg, Cond, Function, FunctionBuilder, Liveness, LoopInfo, Operand, Profile, SymId, UnOp,
     Width,
@@ -136,7 +136,11 @@ fn feasible_assignments(f: &Function, m: &X86Machine, built: &BuiltModel) -> Vec
         max_rows: 6_000,
         ..SolverConfig::default()
     };
-    let sol = solve(&built.model, &cfg, Some(&warm));
+    let seed = Incumbent {
+        source: "spill",
+        values: warm.clone(),
+    };
+    let sol = solve_seeded(&built.model, &cfg, &[seed], Deadline::unlimited());
     if matches!(sol.status, Status::Optimal | Status::Feasible) {
         out.push(sol.values);
     }

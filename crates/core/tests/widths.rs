@@ -1,9 +1,11 @@
 //! Mixed-width end-to-end allocations: 16-bit values engage the SI/DI and
 //! AX–DX classes and the §5.3 overlap sets.
 
-use regalloc_core::{check, IpAllocator};
+use regalloc_core::{check, RobustAllocator};
 use regalloc_ir::{verify_allocated, BinOp, FunctionBuilder, Operand, UnOp, Width};
 use regalloc_x86::{X86Machine, X86RegFile};
+
+mod common;
 
 #[test]
 fn sixteen_bit_arithmetic() {
@@ -19,10 +21,11 @@ fn sixteen_bit_arithmetic() {
     b.ret(Some(r32));
     let f = b.finish();
     let m = X86Machine::pentium();
-    let out = IpAllocator::new(&m).allocate(&f).unwrap();
+    let out = RobustAllocator::new(&m).allocate(&f).unwrap();
+    common::assert_no_defect(&out.report);
     verify_allocated(&out.func).unwrap();
     check::equivalent::<X86RegFile>(&f, &out.func, 6, 21).unwrap();
-    assert!(out.solved_optimally);
+    assert!(out.report.solved_optimally());
 }
 
 #[test]
@@ -60,10 +63,11 @@ fn mixed_widths_share_families_without_conflict() {
     b.ret(Some(r));
     let f = b.finish();
     let m = X86Machine::pentium();
-    let out = IpAllocator::new(&m).allocate(&f).unwrap();
+    let out = RobustAllocator::new(&m).allocate(&f).unwrap();
+    common::assert_no_defect(&out.report);
     verify_allocated(&out.func).unwrap();
     check::equivalent::<X86RegFile>(&f, &out.func, 6, 22).unwrap();
-    assert!(out.solved, "mixed-width packing is feasible");
+    assert!(out.report.solved(), "mixed-width packing is feasible");
 }
 
 #[test]
@@ -80,7 +84,8 @@ fn shift_count_for_narrow_widths_uses_cl_family() {
     b.ret(Some(r));
     let f = b.finish();
     let m = X86Machine::pentium();
-    let out = IpAllocator::new(&m).allocate(&f).unwrap();
+    let out = RobustAllocator::new(&m).allocate(&f).unwrap();
+    common::assert_no_defect(&out.report);
     check::equivalent::<X86RegFile>(&f, &out.func, 6, 23).unwrap();
     let count = out
         .func

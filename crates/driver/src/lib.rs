@@ -125,10 +125,6 @@ pub struct DriverConfig {
     /// Run the `regalloc-lint` quality lints over every accepted
     /// allocation and attach the diagnostics to the result.
     pub lint: bool,
-    /// Statically re-validate cache hits with the dataflow translation
-    /// validator before trusting them; failing entries are evicted and
-    /// the function is solved fresh.
-    pub revalidate_cache: bool,
     /// Seed cache misses with the nearest cached symbolic solution
     /// (projected onto the new function's model) as a second solver
     /// incumbent. Pure acceleration: projections are feasibility-checked
@@ -173,7 +169,6 @@ impl Default for DriverConfig {
             equiv_seed: 0x0b5e55ed,
             compare_baseline: false,
             lint: false,
-            revalidate_cache: true,
             warm_starts: true,
             warm_start_distance: 0.25,
             audit: false,

@@ -17,8 +17,8 @@
 //! exactly (any drift is a hard failure), timing fields advisorily.
 
 use std::fmt::Write as _;
-use std::time::Duration;
 
+use regalloc_ilp::SolverConfig;
 use regalloc_ir::Function;
 use regalloc_machine::TargetId;
 use regalloc_workloads::{Benchmark, Suite};
@@ -37,22 +37,16 @@ pub struct SuiteSpec {
     pub functions: Vec<Function>,
 }
 
-/// The deterministic solver regime snapshots run under: the limits that
-/// normally end a solve (nodes, LP iterations, rows) are deterministic,
-/// and the wall-clock limits are generous enough never to bind. Mirrors
-/// the trace-determinism test configuration.
+/// The deterministic solver regime snapshots run under
+/// ([`SolverConfig::deterministic`]): the limits that normally end a
+/// solve (nodes, LP iterations, rows) are deterministic, and the
+/// wall-clock limits are generous enough never to bind.
 pub fn observatory_config(target: TargetId, jobs: usize) -> DriverConfig {
     DriverConfig {
         target,
         jobs,
-        solver: regalloc_ilp::SolverConfig {
-            time_limit: Duration::from_secs(300),
-            lp_iter_limit: 2_000,
-            node_limit: 16,
-            max_rows: 600,
-            ..regalloc_ilp::SolverConfig::default()
-        },
-        function_budget: Duration::from_secs(300),
+        solver: SolverConfig::deterministic(),
+        function_budget: SolverConfig::deterministic().time_limit,
         global_budget: None,
         cache: CacheMode::Off,
         warm_starts: false,

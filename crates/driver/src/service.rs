@@ -77,8 +77,6 @@ pub struct RequestOptions {
     /// Inject faults into this request's pipeline (chaos testing). A
     /// faulted request always bypasses the cache.
     pub faults: Option<FaultPlan>,
-    /// Bypass the solution cache entirely (no lookup, no store).
-    pub bypass_cache: bool,
 }
 
 /// The long-lived allocation service: machine model, solution cache and
@@ -178,7 +176,7 @@ impl AllocationService {
         // A faulted request must not read or write shared state: its
         // degraded (or corrupted-then-caught) outcome would otherwise be
         // served to healthy clients and break byte-identity with batch.
-        let use_cache = !opts.bypass_cache && opts.faults.is_none();
+        let use_cache = opts.faults.is_none();
         if refuses(machine, f) {
             budget.skip();
             return (not_attempted(f, estimate), None);
@@ -221,7 +219,7 @@ impl AllocationService {
                 // the static translation validator additionally proves the
                 // stored code computes *this* function's values. A failure
                 // means the entry was stale or corrupt: evict and resolve.
-                let revalidation_failed = cfg.revalidate_cache && {
+                let revalidation_failed = {
                     let _c = tracer.time(Phase::Cache);
                     !regalloc_lint::validate(machine, f, &hit.func).is_empty()
                 };

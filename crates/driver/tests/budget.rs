@@ -11,15 +11,8 @@ use regalloc_workloads::{Benchmark, Suite};
 
 fn tight_cfg() -> DriverConfig {
     DriverConfig {
-        target: regalloc_machine::TargetId::X86Pentium,
         jobs: 2,
-        solver: SolverConfig {
-            time_limit: Duration::from_secs(300),
-            lp_iter_limit: 2_000,
-            node_limit: 16,
-            max_rows: 600,
-            ..SolverConfig::default()
-        },
+        solver: SolverConfig::deterministic(),
         function_budget: Duration::from_secs(2),
         cache: CacheMode::Off,
         equiv_runs: 0,

@@ -28,32 +28,18 @@ fn suite50() -> Vec<Function> {
 /// is exactly the regime the determinism guarantee covers.
 fn fast_config() -> DriverConfig {
     DriverConfig {
-        target: regalloc_machine::TargetId::X86Pentium,
         jobs: 1,
-        solver: SolverConfig {
-            time_limit: Duration::from_secs(300),
-            lp_iter_limit: 2_000,
-            node_limit: 16,
-            max_rows: 600,
-            ..SolverConfig::default()
-        },
-        function_budget: Duration::from_secs(300),
-        global_budget: None,
+        solver: SolverConfig::deterministic(),
+        function_budget: SolverConfig::deterministic().time_limit,
         cache: CacheMode::Off,
-        cache_limits: regalloc_driver::cache::CacheLimits::unlimited(),
         equiv_runs: 1,
         equiv_seed: 7,
-        compare_baseline: false,
-        lint: false,
-        revalidate_cache: true,
         // These tests compare node-for-node observables across runs with
         // differently-populated caches; donor incumbents legitimately
         // change the nodes a bounded search explores, so cross-function
         // warm starts get their own test file (`warm_start.rs`).
         warm_starts: false,
-        warm_start_distance: 0.25,
-        audit: false,
-        trace: false,
+        ..DriverConfig::default()
     }
 }
 

@@ -2,7 +2,6 @@
 //! entries, per-target cache keying, and the MCU running the full stack.
 
 use std::path::PathBuf;
-use std::time::Duration;
 
 use regalloc_driver::{run_suite, CacheMode, DriverConfig, FunctionResult};
 use regalloc_ilp::SolverConfig;
@@ -14,26 +13,13 @@ fn fast_config(target: TargetId) -> DriverConfig {
     DriverConfig {
         target,
         jobs: 2,
-        solver: SolverConfig {
-            time_limit: Duration::from_secs(300),
-            lp_iter_limit: 2_000,
-            node_limit: 16,
-            max_rows: 600,
-            ..SolverConfig::default()
-        },
-        function_budget: Duration::from_secs(300),
-        global_budget: None,
+        solver: SolverConfig::deterministic(),
+        function_budget: SolverConfig::deterministic().time_limit,
         cache: CacheMode::Off,
-        cache_limits: regalloc_driver::cache::CacheLimits::unlimited(),
         equiv_runs: 1,
         equiv_seed: 7,
-        compare_baseline: false,
-        lint: false,
-        revalidate_cache: true,
         warm_starts: false,
-        warm_start_distance: 0.25,
-        audit: false,
-        trace: false,
+        ..DriverConfig::default()
     }
 }
 

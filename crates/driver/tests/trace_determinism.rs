@@ -4,8 +4,6 @@
 //! excluded — they are quarantined on their own JSONL lines) and a
 //! byte-identical Prometheus exposition.
 
-use std::time::Duration;
-
 use regalloc_driver::{run_suite, trace_jsonl, CacheMode, DriverConfig, SuiteOutcome};
 use regalloc_ilp::SolverConfig;
 use regalloc_ir::Function;
@@ -23,28 +21,16 @@ fn suite50() -> Vec<Function> {
 /// stream between runs by design).
 fn traced_config(jobs: usize) -> DriverConfig {
     DriverConfig {
-        target: regalloc_machine::TargetId::X86Pentium,
         jobs,
-        solver: SolverConfig {
-            time_limit: Duration::from_secs(300),
-            lp_iter_limit: 2_000,
-            node_limit: 16,
-            max_rows: 600,
-            ..SolverConfig::default()
-        },
-        function_budget: Duration::from_secs(300),
-        global_budget: None,
+        solver: SolverConfig::deterministic(),
+        function_budget: SolverConfig::deterministic().time_limit,
         cache: CacheMode::Off,
-        cache_limits: regalloc_driver::cache::CacheLimits::unlimited(),
         equiv_runs: 1,
         equiv_seed: 7,
-        compare_baseline: false,
         lint: true,
-        revalidate_cache: true,
         warm_starts: false,
-        warm_start_distance: 0.25,
-        audit: false,
         trace: true,
+        ..DriverConfig::default()
     }
 }
 

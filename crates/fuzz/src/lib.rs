@@ -41,14 +41,13 @@
 //! same verdicts on every run.
 
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 use regalloc_coloring::ColoringAllocator;
 use regalloc_core::pipeline::{FaultPlan, RobustAllocator, Rung};
 use regalloc_core::{check, fallback, AllocError, IpAllocator};
 use regalloc_ilp::cert::{Certificate, Claim, Step};
 use regalloc_ilp::model::{Model, Sense};
-use regalloc_ilp::{SolverConfig, Status};
+use regalloc_ilp::{Deadline, SolverConfig, Status};
 use regalloc_ir::interp::mix64;
 use regalloc_ir::{Cfg, ExecOutcome, Function, Interp, InterpConfig, LoopInfo, Profile};
 use regalloc_machine::{refuses, Machine, TargetId};
@@ -119,19 +118,6 @@ impl Default for FuzzConfig {
             fault_cert: None,
             equiv_runs: 3,
         }
-    }
-}
-
-/// Deterministic solver limits: generous wall-clock (never the binding
-/// constraint), tight node/iteration caps so every machine takes the
-/// same path through the ladder.
-pub fn deterministic_solver() -> SolverConfig {
-    SolverConfig {
-        time_limit: Duration::from_secs(300),
-        lp_iter_limit: 2_000,
-        node_limit: 16,
-        max_rows: 600,
-        ..SolverConfig::default()
     }
 }
 
@@ -232,8 +218,8 @@ pub fn run_rungs<M: Machine + ?Sized>(
         None => FaultPlan::none(),
     };
     let robust = RobustAllocator::new(machine)
-        .with_solver_config(deterministic_solver())
-        .with_budget(Duration::from_secs(300))
+        .with_solver_config(SolverConfig::deterministic())
+        .with_budget(SolverConfig::deterministic().time_limit)
         .with_equivalence(0, 0)
         .with_static_validation(false)
         .with_faults(faults);
@@ -389,9 +375,9 @@ pub fn check_certificate<M: Machine + ?Sized>(
     };
     let cfg = SolverConfig {
         emit_certificates: true,
-        ..deterministic_solver()
+        ..SolverConfig::deterministic()
     };
-    let sol = regalloc_ilp::solve(&built.model, &cfg, None);
+    let sol = regalloc_ilp::solve_seeded(&built.model, &cfg, &[], Deadline::unlimited());
     if !matches!(sol.status, Status::Optimal | Status::Infeasible) {
         return out; // no proof claimed within the deterministic limits
     }
@@ -586,8 +572,8 @@ pub fn check_cross_target(
             continue;
         }
         let robust = RobustAllocator::new(m.as_ref())
-            .with_solver_config(deterministic_solver())
-            .with_budget(Duration::from_secs(300))
+            .with_solver_config(SolverConfig::deterministic())
+            .with_budget(SolverConfig::deterministic().time_limit)
             .with_equivalence(0, 0)
             .with_static_validation(false);
         // A ladder that degrades to exhaustion on one target is not a

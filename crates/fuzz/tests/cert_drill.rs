@@ -7,7 +7,7 @@
 use regalloc_fuzz::{
     case_functions, check_certificate, perturb_certificate, run_campaign, CaseKind, FuzzConfig,
 };
-use regalloc_ilp::{solve, SolverConfig, Status};
+use regalloc_ilp::{solve_seeded, Deadline, SolverConfig, Status};
 use regalloc_x86::X86Machine;
 
 fn drill_config(kind: CaseKind) -> FuzzConfig {
@@ -62,9 +62,9 @@ fn every_perturbation_kind_is_rejected() {
             };
             let scfg = SolverConfig {
                 emit_certificates: true,
-                ..regalloc_fuzz::deterministic_solver()
+                ..SolverConfig::deterministic()
             };
-            let sol = solve(&built.model, &scfg, None);
+            let sol = solve_seeded(&built.model, &scfg, &[], Deadline::unlimited());
             if sol.status != Status::Optimal {
                 continue;
             }

@@ -11,8 +11,8 @@ use proptest::prelude::*;
 
 use regalloc_core::pipeline::RobustAllocator;
 use regalloc_core::IpAllocator;
-use regalloc_fuzz::{deterministic_solver, perturb_certificate};
-use regalloc_ilp::{solve, SolverConfig, Status};
+use regalloc_fuzz::perturb_certificate;
+use regalloc_ilp::{solve_seeded, Deadline, SolverConfig, Status};
 use regalloc_obs::{Event, Phase, Tracer};
 use regalloc_workloads::{fuzz_function, GenConfig};
 use regalloc_x86::X86Machine;
@@ -39,9 +39,9 @@ fn proof_for(
     let built = IpAllocator::new(machine).build_only(&f).ok()?;
     let cfg = SolverConfig {
         emit_certificates: true,
-        ..deterministic_solver()
+        ..SolverConfig::deterministic()
     };
-    let sol = solve(&built.model, &cfg, None);
+    let sol = solve_seeded(&built.model, &cfg, &[], Deadline::unlimited());
     matches!(sol.status, Status::Optimal | Status::Infeasible).then_some((built.model, sol))
 }
 
@@ -103,8 +103,8 @@ proptest! {
         let run = |audit: bool| {
             let tracer = Tracer::on();
             let out = RobustAllocator::new(&machine)
-                .with_solver_config(deterministic_solver())
-                .with_budget(std::time::Duration::from_secs(300))
+                .with_solver_config(SolverConfig::deterministic())
+                .with_budget(SolverConfig::deterministic().time_limit)
                 .with_equivalence(0, 0)
                 .with_audit(audit)
                 .allocate_traced(&f, &tracer);

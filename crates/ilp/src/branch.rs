@@ -46,6 +46,26 @@ impl Default for SolverConfig {
     }
 }
 
+impl SolverConfig {
+    /// The deterministic regime the observatory, the fuzzer and the
+    /// determinism tests run under: tight node and LP-iteration limits
+    /// end every solve, and the wall clock is generous enough never to
+    /// bind, so every machine and every `--jobs` value takes the same
+    /// path through the search and the degradation ladder. The
+    /// allocation pipeline caps the solver at the smaller of its
+    /// per-function budget and `time_limit`, so callers give it a budget
+    /// of this regime's `time_limit` too.
+    pub fn deterministic() -> SolverConfig {
+        SolverConfig {
+            time_limit: Duration::from_secs(300),
+            lp_iter_limit: 2_000,
+            node_limit: 16,
+            max_rows: 600,
+            ..SolverConfig::default()
+        }
+    }
+}
+
 /// Solve outcome classification, matching the taxonomy of the paper's
 /// Table 2 (plus the health-guard outcome).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -89,31 +109,6 @@ pub struct Incumbent {
     /// Candidate assignment over the model's variables. Mis-sized or
     /// infeasible candidates are silently ignored.
     pub values: Vec<bool>,
-}
-
-/// A supplier of warm-start incumbents for [`solve_seeded`].
-///
-/// Injecting the supplier (rather than a hardcoded vector) lets callers
-/// combine several independent seeds — the allocator's spill-everything
-/// bound, a projected solution from a similar cached function — without
-/// the solver knowing where any of them came from. Every candidate is
-/// re-validated against the model; a bad source can never corrupt a
-/// solve, only fail to speed it up.
-pub trait WarmStartSource {
-    /// Produce the candidate incumbents for `model`.
-    fn incumbents(&self, model: &Model) -> Vec<Incumbent>;
-}
-
-impl WarmStartSource for Vec<Incumbent> {
-    fn incumbents(&self, _model: &Model) -> Vec<Incumbent> {
-        self.clone()
-    }
-}
-
-impl WarmStartSource for [Incumbent] {
-    fn incumbents(&self, _model: &Model) -> Vec<Incumbent> {
-        self.to_vec()
-    }
 }
 
 /// The result of a solve.
@@ -299,55 +294,26 @@ fn dive(
     (None, iters, depth)
 }
 
-/// Solve the 0-1 program `model`.
+/// Solve the 0-1 program `model`, seeded with candidate incumbents.
 ///
-/// `warm_start`, when provided and feasible, seeds the incumbent — the
-/// register allocator passes its spill-everything fallback here so a
-/// usable allocation always exists even when the search times out.
-pub fn solve(model: &Model, cfg: &SolverConfig, warm_start: Option<&[bool]>) -> Solution {
-    solve_with_deadline(model, cfg, warm_start, Deadline::after(cfg.time_limit))
-}
-
-/// [`solve`], but bounded by an externally shared [`Deadline`] as well as
-/// the config's own time limit (whichever is earlier wins).
+/// The best feasible seed (by objective) becomes the starting incumbent —
+/// the register allocator passes its spill-everything assignment here, so
+/// a usable allocation exists even when the search stops early — and its
+/// source tag is reported in [`Solution::incumbent_source`]. Every seed is
+/// re-validated against the model: a mis-sized or infeasible one is
+/// ignored, so a bad seed can only fail to speed the solve up.
 ///
-/// The allocation pipeline passes one per-function deadline token here so
-/// that the IP attempt, however configured, can never starve the
-/// degradation rungs that follow it.
-pub fn solve_with_deadline(
-    model: &Model,
-    cfg: &SolverConfig,
-    warm_start: Option<&[bool]>,
-    deadline: Deadline,
-) -> Solution {
-    let seeds: Vec<Incumbent> = warm_start
-        .map(|w| {
-            vec![Incumbent {
-                source: "warm",
-                values: w.to_vec(),
-            }]
-        })
-        .unwrap_or_default();
-    solve_inner(model, cfg, &seeds, deadline, &Tracer::off())
-}
-
-/// [`solve_with_deadline`] with incumbents drawn from an injected
-/// [`WarmStartSource`]. The best feasible candidate (by objective) seeds
-/// the search; its source tag is reported in
-/// [`Solution::incumbent_source`].
+/// The search stops at `deadline` or [`SolverConfig::time_limit`],
+/// whichever is earlier; the allocation pipeline passes one per-function
+/// deadline here so the IP attempt can never starve the degradation
+/// rungs that follow it.
 pub fn solve_seeded(
     model: &Model,
     cfg: &SolverConfig,
-    source: &dyn WarmStartSource,
+    seeds: &[Incumbent],
     deadline: Deadline,
 ) -> Solution {
-    solve_inner(
-        model,
-        cfg,
-        &source.incumbents(model),
-        deadline,
-        &Tracer::off(),
-    )
+    solve_seeded_traced(model, cfg, seeds, deadline, &Tracer::off())
 }
 
 /// [`solve_seeded`] with a trace recorder. When the tracer is enabled the
@@ -360,17 +326,7 @@ pub fn solve_seeded(
 pub fn solve_seeded_traced(
     model: &Model,
     cfg: &SolverConfig,
-    source: &dyn WarmStartSource,
-    deadline: Deadline,
-    tracer: &Tracer,
-) -> Solution {
-    solve_inner(model, cfg, &source.incumbents(model), deadline, tracer)
-}
-
-fn solve_inner(
-    model: &Model,
-    cfg: &SolverConfig,
-    incumbents: &[Incumbent],
+    seeds: &[Incumbent],
     deadline: Deadline,
     tracer: &Tracer,
 ) -> Solution {
@@ -385,7 +341,7 @@ fn solve_inner(
 
     let mut best: Option<(Vec<bool>, f64)> = None;
     let mut incumbent_source: Option<&'static str> = None;
-    for inc in incumbents {
+    for inc in seeds {
         if inc.values.len() != n {
             tracer.event(|| Event::SeedRejected {
                 source: inc.source,
@@ -822,10 +778,18 @@ mod tests {
         SolverConfig::default()
     }
 
+    /// A single warm-start seed.
+    fn warm(values: &[bool]) -> [Incumbent; 1] {
+        [Incumbent {
+            source: "warm",
+            values: values.to_vec(),
+        }]
+    }
+
     #[test]
     fn trivial_empty_model() {
         let m = Model::new();
-        let s = solve(&m, &cfg(), None);
+        let s = solve_seeded(&m, &cfg(), &[], Deadline::unlimited());
         assert_eq!(s.status, Status::Optimal);
         assert_eq!(s.objective, 0.0);
     }
@@ -838,7 +802,7 @@ mod tests {
         let b = m.add_var(-3.0, "b");
         let c = m.add_var(-4.0, "c");
         m.add_le(vec![(a, 1.0), (b, 1.0), (c, 1.0)], 2.0);
-        let s = solve(&m, &cfg(), None);
+        let s = solve_seeded(&m, &cfg(), &[], Deadline::unlimited());
         assert_eq!(s.status, Status::Optimal);
         assert_eq!(s.objective.round() as i64, -7);
         assert!(!s.value(a));
@@ -855,7 +819,7 @@ mod tests {
         for i in 0..3 {
             m.add_le(vec![(v[i], 1.0), (v[(i + 1) % 3], 1.0)], 1.0);
         }
-        let s = solve(&m, &cfg(), None);
+        let s = solve_seeded(&m, &cfg(), &[], Deadline::unlimited());
         assert_eq!(s.status, Status::Optimal);
         assert_eq!(s.objective.round() as i64, -1);
         assert_eq!(s.values.iter().filter(|&&b| b).count(), 1);
@@ -868,7 +832,7 @@ mod tests {
         let b = m.add_var(0.0, "b");
         m.add_ge(vec![(a, 1.0), (b, 1.0)], 2.0);
         m.add_le(vec![(a, 1.0), (b, 1.0)], 1.0);
-        let s = solve(&m, &cfg(), None);
+        let s = solve_seeded(&m, &cfg(), &[], Deadline::unlimited());
         assert_eq!(s.status, Status::Infeasible);
         assert!(!s.has_solution());
     }
@@ -878,7 +842,7 @@ mod tests {
         let mut m = Model::new();
         let a = m.add_var(-5.0, "a");
         m.fix(a, false);
-        let s = solve(&m, &cfg(), None);
+        let s = solve_seeded(&m, &cfg(), &[], Deadline::unlimited());
         assert_eq!(s.status, Status::Optimal);
         assert!(!s.value(a));
         assert_eq!(s.objective, 0.0);
@@ -895,11 +859,11 @@ mod tests {
             max_rows: 5,
             ..cfg()
         };
-        let s = solve(&m, &small, Some(&[true]));
+        let s = solve_seeded(&m, &small, &warm(&[true]), Deadline::unlimited());
         assert_eq!(s.status, Status::Feasible);
         assert!(s.value(a));
         // Without a warm start the capped model is Unknown.
-        let s2 = solve(&m, &small, None);
+        let s2 = solve_seeded(&m, &small, &[], Deadline::unlimited());
         assert_eq!(s2.status, Status::Unknown);
     }
 
@@ -909,7 +873,7 @@ mod tests {
         let a = m.add_var(-1.0, "a");
         m.add_ge(vec![(a, 1.0)], 1.0);
         // warm start violates the >= row
-        let s = solve(&m, &cfg(), Some(&[false]));
+        let s = solve_seeded(&m, &cfg(), &warm(&[false]), Deadline::unlimited());
         assert_eq!(s.status, Status::Optimal);
         assert!(s.value(a));
     }
@@ -925,7 +889,7 @@ mod tests {
             time_limit: Duration::from_secs(0),
             ..cfg()
         };
-        let s = solve(&m, &tiny, Some(&[true]));
+        let s = solve_seeded(&m, &tiny, &warm(&[true]), Deadline::unlimited());
         assert_eq!(s.status, Status::Feasible);
     }
 
@@ -938,7 +902,7 @@ mod tests {
         let s2 = m.add_var(3.0, "support2");
         m.add_le(vec![(d, 1.0), (s1, -1.0)], 0.0);
         m.add_le(vec![(d, 1.0), (s2, -1.0)], 0.0);
-        let s = solve(&m, &cfg(), None);
+        let s = solve_seeded(&m, &cfg(), &[], Deadline::unlimited());
         assert_eq!(s.status, Status::Optimal);
         assert_eq!(s.objective.round() as i64, -2);
         assert!(s.value(d) && s.value(s1) && s.value(s2));
@@ -950,7 +914,7 @@ mod tests {
         let mut m = Model::new();
         let v: Vec<_> = [5.0, 1.0, 3.0].iter().map(|c| m.add_var(*c, "v")).collect();
         m.add_eq(v.iter().map(|&x| (x, 1.0)).collect(), 1.0);
-        let s = solve(&m, &cfg(), None);
+        let s = solve_seeded(&m, &cfg(), &[], Deadline::unlimited());
         assert_eq!(s.status, Status::Optimal);
         assert_eq!(s.objective.round() as i64, 1);
         assert!(s.value(v[1]));
@@ -963,7 +927,7 @@ mod tests {
         let mut m = Model::new();
         let a = m.add_var(1.0, "a");
         m.add_ge(vec![(a, 1.0)], 1.0);
-        let s = solve(&m, &cfg(), Some(&[true]));
+        let s = solve_seeded(&m, &cfg(), &warm(&[true]), Deadline::unlimited());
         assert_eq!(s.status, Status::Optimal);
         assert!(!s.warm_start_only);
     }
@@ -977,7 +941,7 @@ mod tests {
             time_limit: Duration::from_millis(0),
             ..cfg()
         };
-        let s = solve(&m, &tiny, Some(&[true]));
+        let s = solve_seeded(&m, &tiny, &warm(&[true]), Deadline::unlimited());
         assert_eq!(s.status, Status::Feasible);
         assert!(s.warm_start_only, "nothing was found by the search itself");
     }
@@ -994,7 +958,7 @@ mod tests {
         let mut m = Model::new();
         let a = m.add_var(1.0, "a");
         m.add_ge(vec![(a, 1.0)], 1.0);
-        let s = solve(&m, &cfg(), None);
+        let s = solve_seeded(&m, &cfg(), &[], Deadline::unlimited());
         assert_eq!(s.status, Status::Optimal);
         assert!(s.certificate.is_none());
     }
@@ -1009,7 +973,7 @@ mod tests {
         for i in 0..3 {
             m.add_le(vec![(v[i], 1.0), (v[(i + 1) % 3], 1.0)], 1.0);
         }
-        let s = solve(&m, &cert_cfg(), None);
+        let s = solve_seeded(&m, &cert_cfg(), &[], Deadline::unlimited());
         assert_eq!(s.status, Status::Optimal);
         let cert = s.certificate.expect("optimal completed solve emits cert");
         let (values, obj) = cert.incumbent.as_ref().expect("optimal has incumbent");
@@ -1039,7 +1003,7 @@ mod tests {
         let b = m.add_var(0.0, "b");
         m.add_ge(vec![(a, 1.0), (b, 1.0)], 2.0);
         m.add_le(vec![(a, 1.0), (b, 1.0)], 1.0);
-        let s = solve(&m, &cert_cfg(), None);
+        let s = solve_seeded(&m, &cert_cfg(), &[], Deadline::unlimited());
         assert_eq!(s.status, Status::Infeasible);
         let cert = s.certificate.expect("proved infeasibility emits cert");
         assert!(cert.incumbent.is_none());
@@ -1053,7 +1017,7 @@ mod tests {
         let mut m = Model::new();
         let a = m.add_var(-1.5, "a");
         m.add_le(vec![(a, 1.0)], 1.0);
-        let s = solve(&m, &cert_cfg(), None);
+        let s = solve_seeded(&m, &cert_cfg(), &[], Deadline::unlimited());
         assert_eq!(s.status, Status::Optimal);
         assert!(s.certificate.is_none());
     }
@@ -1065,8 +1029,8 @@ mod tests {
         for i in 0..5 {
             m.add_le(vec![(v[i], 1.0), (v[(i + 1) % 5], 1.0)], 1.0);
         }
-        let plain = solve(&m, &cfg(), None);
-        let certed = solve(&m, &cert_cfg(), None);
+        let plain = solve_seeded(&m, &cfg(), &[], Deadline::unlimited());
+        let certed = solve_seeded(&m, &cert_cfg(), &[], Deadline::unlimited());
         assert_eq!(plain.status, certed.status);
         assert_eq!(plain.values, certed.values);
         assert_eq!(plain.objective, certed.objective);
@@ -1088,7 +1052,7 @@ mod tests {
         for i in 0..5 {
             m.add_le(vec![(v[i], 1.0), (v[(i + 1) % 5], 1.0)], 1.0);
         }
-        let s = solve(&m, &cfg(), None);
+        let s = solve_seeded(&m, &cfg(), &[], Deadline::unlimited());
         assert_eq!(s.status, Status::Optimal);
         assert!(s.health.pivots > 0, "basis changes were counted");
         assert!(
@@ -1141,7 +1105,7 @@ mod tests {
                     }
                 }
             }
-            let s = solve(&m, &cfg(), None);
+            let s = solve_seeded(&m, &cfg(), &[], Deadline::unlimited());
             match best {
                 Some(bo) => {
                     assert_eq!(

@@ -26,14 +26,15 @@
 //! # Example
 //!
 //! ```
-//! use regalloc_ilp::{Model, SolverConfig, Status, solve};
+//! use regalloc_ilp::{solve_seeded, Deadline, Model, SolverConfig, Status};
 //!
 //! // max x0 + 2 x1 s.t. x0 + x1 <= 1  (i.e. min -x0 - 2 x1)
 //! let mut m = Model::new();
 //! let x0 = m.add_var(-1.0, "x0");
 //! let x1 = m.add_var(-2.0, "x1");
 //! m.add_le(vec![(x0, 1.0), (x1, 1.0)], 1.0);
-//! let sol = solve(&m, &SolverConfig::default(), None);
+//! // No seed incumbents; the config's own time limit bounds the search.
+//! let sol = solve_seeded(&m, &SolverConfig::default(), &[], Deadline::unlimited());
 //! assert_eq!(sol.status, Status::Optimal);
 //! assert_eq!(sol.objective.round() as i64, -2);
 //! assert!(sol.value(x1));
@@ -46,15 +47,9 @@ pub mod model;
 pub mod presolve;
 pub mod simplex;
 
-pub use branch::{
-    solve, solve_seeded, solve_seeded_traced, solve_with_deadline, Incumbent, Solution,
-    SolverConfig, Status, WarmStartSource,
-};
+pub use branch::{solve_seeded, solve_seeded_traced, Incumbent, Solution, SolverConfig, Status};
 pub use cert::{Certificate, Claim, NodeCert, Step, Witness};
 pub use health::{Deadline, HealthState, SolverHealth};
 pub use model::{Model, Sense, VarId};
-pub use presolve::{
-    propagate, propagate_counted, propagate_recorded, propagate_recorded_counted, PropRecorder,
-    Propagation,
-};
+pub use presolve::{propagate_counted, propagate_recorded_counted, PropRecorder, Propagation};
 pub use simplex::{solve_lp, solve_lp_with_duals, DualInfo, LpOutcome};

@@ -26,9 +26,9 @@ pub enum Propagation {
     Infeasible,
 }
 
-/// Deduction journal filled by [`propagate_recorded`]: every bound
-/// tightening as a replayable [`Step::Deduce`], and — on an infeasible
-/// outcome — the row or fixing that was contradicted.
+/// Deduction journal filled by [`propagate_recorded_counted`]: every
+/// bound tightening as a replayable [`Step::Deduce`], and — on an
+/// infeasible outcome — the row or fixing that was contradicted.
 #[derive(Clone, Debug, Default)]
 pub struct PropRecorder {
     /// Deductions in application order (appended; callers seed this with
@@ -39,39 +39,20 @@ pub struct PropRecorder {
     pub conflict: Option<Witness>,
 }
 
-/// Tighten `lb`/`ub` in place. Binary semantics: bounds only ever move to
-/// 0 or 1.
-pub fn propagate(model: &Model, lb: &mut [f64], ub: &mut [f64]) -> Propagation {
-    let mut elims = 0;
-    propagate_impl(model, lb, ub, None, &mut elims)
-}
-
-/// [`propagate`] that also reports how many variable domains it narrowed
-/// (fixings applied plus min/max-activity deductions) — the flight
-/// recorder's `presolve_eliminations` counter. The tightening itself is
-/// bit-identical to [`propagate`].
+/// Tighten `lb`/`ub` in place (binary semantics: bounds only ever move to
+/// 0 or 1) and report how many variable domains were narrowed (fixings
+/// applied plus min/max-activity deductions) — the flight recorder's
+/// `presolve_eliminations` counter.
 pub fn propagate_counted(model: &Model, lb: &mut [f64], ub: &mut [f64]) -> (Propagation, u64) {
     let mut elims = 0;
     let p = propagate_impl(model, lb, ub, None, &mut elims);
     (p, elims)
 }
 
-/// [`propagate`] with a deduction journal for certificate emission. The
-/// bound tightening is bit-identical to the unrecorded path; only the
-/// journal is extra.
-pub fn propagate_recorded(
-    model: &Model,
-    lb: &mut [f64],
-    ub: &mut [f64],
-    rec: &mut PropRecorder,
-) -> Propagation {
-    let mut elims = 0;
-    propagate_impl(model, lb, ub, Some(rec), &mut elims)
-}
-
-/// [`propagate_recorded`] that also returns the deduction count, so the
-/// certified and uncertified node paths feed the flight recorder the
-/// exact same `presolve_eliminations` numbers.
+/// [`propagate_counted`] with a deduction journal for certificate
+/// emission. The bound tightening and the count are bit-identical to the
+/// unrecorded path, so certified and uncertified searches feed the flight
+/// recorder the same numbers; only the journal is extra.
 pub fn propagate_recorded_counted(
     model: &Model,
     lb: &mut [f64],
@@ -236,7 +217,7 @@ mod tests {
         let a = m.add_var(0.0, "a");
         m.fix(a, true);
         let (mut lb, mut ub) = free(1);
-        assert_eq!(propagate(&m, &mut lb, &mut ub), Propagation::Ok);
+        assert_eq!(propagate_counted(&m, &mut lb, &mut ub).0, Propagation::Ok);
         assert_eq!((lb[0], ub[0]), (1.0, 1.0));
     }
 
@@ -247,7 +228,10 @@ mod tests {
         m.fix(a, true);
         let mut lb = vec![0.0];
         let mut ub = vec![0.0]; // branched to 0
-        assert_eq!(propagate(&m, &mut lb, &mut ub), Propagation::Infeasible);
+        assert_eq!(
+            propagate_counted(&m, &mut lb, &mut ub).0,
+            Propagation::Infeasible
+        );
     }
 
     #[test]
@@ -256,7 +240,7 @@ mod tests {
         let a = m.add_var(0.0, "a");
         m.add_ge(vec![(a, 1.0)], 1.0);
         let (mut lb, mut ub) = free(1);
-        assert_eq!(propagate(&m, &mut lb, &mut ub), Propagation::Ok);
+        assert_eq!(propagate_counted(&m, &mut lb, &mut ub).0, Propagation::Ok);
         assert_eq!(lb[0], 1.0);
     }
 
@@ -266,7 +250,7 @@ mod tests {
         let a = m.add_var(0.0, "a");
         m.add_le(vec![(a, 1.0)], 0.0);
         let (mut lb, mut ub) = free(1);
-        assert_eq!(propagate(&m, &mut lb, &mut ub), Propagation::Ok);
+        assert_eq!(propagate_counted(&m, &mut lb, &mut ub).0, Propagation::Ok);
         assert_eq!(ub[0], 0.0);
     }
 
@@ -279,7 +263,7 @@ mod tests {
         m.add_ge(vec![(a, 1.0), (b, 1.0)], 1.0);
         m.fix(b, false);
         let (mut lb, mut ub) = free(2);
-        assert_eq!(propagate(&m, &mut lb, &mut ub), Propagation::Ok);
+        assert_eq!(propagate_counted(&m, &mut lb, &mut ub).0, Propagation::Ok);
         assert_eq!(lb[0], 1.0);
         assert_eq!(ub[1], 0.0);
     }
@@ -295,7 +279,7 @@ mod tests {
         m.add_le(vec![(x, 1.0), (d, -1.0)], 0.0);
         let mut lb = vec![1.0, 0.0, 0.0];
         let mut ub = vec![1.0, 1.0, 1.0];
-        assert_eq!(propagate(&m, &mut lb, &mut ub), Propagation::Ok);
+        assert_eq!(propagate_counted(&m, &mut lb, &mut ub).0, Propagation::Ok);
         assert_eq!(lb, vec![1.0, 1.0, 1.0]);
     }
 
@@ -307,7 +291,10 @@ mod tests {
         m.add_ge(vec![(a, 1.0), (b, 1.0)], 2.0);
         m.fix(a, false);
         let (mut lb, mut ub) = free(2);
-        assert_eq!(propagate(&m, &mut lb, &mut ub), Propagation::Infeasible);
+        assert_eq!(
+            propagate_counted(&m, &mut lb, &mut ub).0,
+            Propagation::Infeasible
+        );
     }
 
     #[test]
@@ -329,7 +316,7 @@ mod tests {
     }
 
     #[test]
-    fn counted_matches_uncounted_tightening() {
+    fn recorded_matches_unrecorded_tightening() {
         let mut m = Model::new();
         let u = m.add_var(0.0, "u");
         let x = m.add_var(0.0, "x");
@@ -340,11 +327,13 @@ mod tests {
         let mut ub1 = vec![1.0, 1.0, 1.0];
         let mut lb2 = lb1.clone();
         let mut ub2 = ub1.clone();
-        let p1 = propagate(&m, &mut lb1, &mut ub1);
-        let (p2, elims) = propagate_counted(&m, &mut lb2, &mut ub2);
+        let (p1, elims1) = propagate_counted(&m, &mut lb1, &mut ub1);
+        let mut rec = PropRecorder::default();
+        let (p2, elims2) = propagate_recorded_counted(&m, &mut lb2, &mut ub2, &mut rec);
         assert_eq!(p1, p2);
-        assert_eq!((lb1, ub1), (lb2, ub2), "counting never changes bounds");
-        assert_eq!(elims, 2, "x then d forced to 1");
+        assert_eq!((lb1, ub1), (lb2, ub2), "recording never changes bounds");
+        assert_eq!((elims1, elims2), (2, 2), "x then d forced to 1");
+        assert_eq!(rec.steps.len(), 2, "one journal step per deduction");
     }
 
     #[test]
@@ -356,7 +345,7 @@ mod tests {
         m.add_eq(vec![(a, 1.0), (b, 1.0)], 1.0);
         m.fix(a, true);
         let (mut lb, mut ub) = free(2);
-        assert_eq!(propagate(&m, &mut lb, &mut ub), Propagation::Ok);
+        assert_eq!(propagate_counted(&m, &mut lb, &mut ub).0, Propagation::Ok);
         assert_eq!(ub[1], 0.0);
     }
 }

@@ -3,7 +3,7 @@
 
 use std::time::Duration;
 
-use regalloc_ilp::{solve, solve_with_deadline, Deadline, Model, SolverConfig, Status};
+use regalloc_ilp::{solve_seeded, Deadline, Incumbent, Model, SolverConfig, Status};
 
 fn tiny_model() -> Model {
     // max x0 + 2 x1 s.t. x0 + x1 <= 1  (min form)
@@ -20,7 +20,7 @@ fn nan_cost_reports_numerical_trouble() {
     let x0 = m.add_var(f64::NAN, "x0");
     let x1 = m.add_var(-1.0, "x1");
     m.add_le(vec![(x0, 1.0), (x1, 1.0)], 1.0);
-    let sol = solve(&m, &SolverConfig::default(), None);
+    let sol = solve_seeded(&m, &SolverConfig::default(), &[], Deadline::unlimited());
     assert_eq!(sol.status, Status::NumericalTrouble, "{:?}", sol.health);
     assert!(
         sol.health.nan_events > 0 || sol.health.lp_aborts > 0,
@@ -36,7 +36,7 @@ fn nan_constraint_coefficient_is_contained() {
     m.add_le(vec![(x0, f64::NAN)], 1.0);
     // The guard must turn the contamination into a structured status, not
     // a hang or a bogus "optimal" answer.
-    let sol = solve(&m, &SolverConfig::default(), None);
+    let sol = solve_seeded(&m, &SolverConfig::default(), &[], Deadline::unlimited());
     assert_ne!(sol.status, Status::Optimal, "{:?}", sol.health);
 }
 
@@ -44,10 +44,14 @@ fn nan_constraint_coefficient_is_contained() {
 fn expired_deadline_with_warm_start_returns_it() {
     let m = tiny_model();
     let warm = vec![false, false];
-    let sol = solve_with_deadline(
+    let seed = Incumbent {
+        source: "warm",
+        values: warm.clone(),
+    };
+    let sol = solve_seeded(
         &m,
         &SolverConfig::default(),
-        Some(&warm),
+        &[seed],
         Deadline::after(Duration::ZERO),
     );
     assert_eq!(sol.status, Status::Feasible);
@@ -58,10 +62,10 @@ fn expired_deadline_with_warm_start_returns_it() {
 #[test]
 fn expired_deadline_without_warm_start_is_unknown() {
     let m = tiny_model();
-    let sol = solve_with_deadline(
+    let sol = solve_seeded(
         &m,
         &SolverConfig::default(),
-        None,
+        &[],
         Deadline::after(Duration::ZERO),
     );
     assert_eq!(sol.status, Status::Unknown);
@@ -71,10 +75,10 @@ fn expired_deadline_without_warm_start_is_unknown() {
 #[test]
 fn generous_deadline_does_not_perturb_the_answer() {
     let m = tiny_model();
-    let sol = solve_with_deadline(
+    let sol = solve_seeded(
         &m,
         &SolverConfig::default(),
-        None,
+        &[],
         Deadline::after(Duration::from_secs(60)),
     );
     assert_eq!(sol.status, Status::Optimal);

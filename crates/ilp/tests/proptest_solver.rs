@@ -2,7 +2,7 @@
 //! enumeration on small random models.
 
 use proptest::prelude::*;
-use regalloc_ilp::{solve, Model, SolverConfig, VarId};
+use regalloc_ilp::{solve_seeded, Deadline, Incumbent, Model, SolverConfig, VarId};
 
 /// A random constraint row: (coefficients, sense 0/1/2, rhs).
 type RandomRow = (Vec<(usize, i32)>, u8, i32);
@@ -69,7 +69,7 @@ proptest! {
     fn solver_matches_brute_force(m in small_model()) {
         let model = build(&m);
         let truth = brute_force(&model);
-        let sol = solve(&model, &SolverConfig::default(), None);
+        let sol = solve_seeded(&model, &SolverConfig::default(), &[], Deadline::unlimited());
         match truth {
             Some(obj) => {
                 prop_assert_eq!(sol.status, regalloc_ilp::Status::Optimal);
@@ -98,7 +98,8 @@ proptest! {
                 time_limit: std::time::Duration::from_millis(0),
                 ..Default::default()
             };
-            let sol = solve(&model, &cfg, Some(&warm));
+            let seed = Incumbent { source: "warm", values: warm.clone() };
+            let sol = solve_seeded(&model, &cfg, &[seed], Deadline::unlimited());
             prop_assert!(sol.has_solution());
             prop_assert!(model.is_feasible(&sol.values));
             prop_assert!(sol.objective <= model.objective(&warm) + 1e-9);

@@ -36,7 +36,7 @@ fn per_node_iterations_sum_to_solution_total() {
     let sol = solve_seeded_traced(
         &m,
         &SolverConfig::default(),
-        &Vec::<Incumbent>::new(),
+        &[],
         Deadline::unlimited(),
         &tracer,
     );
@@ -74,13 +74,7 @@ fn abandoned_node_iterations_are_not_lost() {
         ..SolverConfig::default()
     };
     let tracer = Tracer::on();
-    let sol = solve_seeded_traced(
-        &m,
-        &cfg,
-        &Vec::<Incumbent>::new(),
-        Deadline::unlimited(),
-        &tracer,
-    );
+    let sol = solve_seeded_traced(&m, &cfg, &[], Deadline::unlimited(), &tracer);
     let trace = tracer.finish("starved");
     assert!(
         sol.lp_iters > 0,
@@ -170,15 +164,9 @@ fn infeasible_seed_is_rejected_in_trace() {
 fn tracing_does_not_change_the_solution() {
     let m = odd_cycle(7);
     let cfg = SolverConfig::default();
-    let cold = solve_seeded(&m, &cfg, &Vec::<Incumbent>::new(), Deadline::unlimited());
+    let cold = solve_seeded(&m, &cfg, &[], Deadline::unlimited());
     let tracer = Tracer::on();
-    let traced = solve_seeded_traced(
-        &m,
-        &cfg,
-        &Vec::<Incumbent>::new(),
-        Deadline::unlimited(),
-        &tracer,
-    );
+    let traced = solve_seeded_traced(&m, &cfg, &[], Deadline::unlimited(), &tracer);
     assert_eq!(cold.status, traced.status);
     assert_eq!(cold.values, traced.values);
     assert_eq!(cold.objective, traced.objective);

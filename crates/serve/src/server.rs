@@ -818,7 +818,6 @@ fn handle_alloc(
         lint: frame.get("lint").map(|v| v == "1"),
         trace: None,
         faults: frame.get_u64("fault_seed").map(FaultPlan::seeded),
-        bypass_cache: false,
     };
 
     state

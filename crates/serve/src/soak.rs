@@ -82,19 +82,13 @@ impl SoakOutcome {
     }
 }
 
-/// Tight deterministic solver limits (the test-suite configuration):
+/// The deterministic solver regime ([`SolverConfig::deterministic`]):
 /// node and iteration limits terminate every solve long before wall
 /// clocks bind, so the oracle comparison is exact.
 fn soak_driver_config(jobs: usize) -> DriverConfig {
     DriverConfig {
         jobs,
-        solver: SolverConfig {
-            time_limit: Duration::from_secs(300),
-            lp_iter_limit: 2_000,
-            node_limit: 16,
-            max_rows: 600,
-            ..SolverConfig::default()
-        },
+        solver: SolverConfig::deterministic(),
         function_budget: Duration::from_secs(2),
         cache: CacheMode::Memory,
         equiv_runs: 1,

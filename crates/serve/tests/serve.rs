@@ -15,13 +15,7 @@ fn test_driver_cfg(jobs: usize) -> DriverConfig {
     DriverConfig {
         target: regalloc_machine::TargetId::X86Pentium,
         jobs,
-        solver: SolverConfig {
-            time_limit: Duration::from_secs(300),
-            lp_iter_limit: 2_000,
-            node_limit: 16,
-            max_rows: 600,
-            ..SolverConfig::default()
-        },
+        solver: SolverConfig::deterministic(),
         function_budget: Duration::from_secs(2),
         cache: CacheMode::Memory,
         equiv_runs: 1,

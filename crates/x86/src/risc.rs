@@ -4,7 +4,7 @@
 //! the paper compares against in §6: 24 allocatable, fully interchangeable
 //! 32-bit registers, a three-address load/store instruction set, fixed
 //! 4-byte instructions, and no encoding irregularities of any kind. The
-//! `risc_compare` experiment builds the same functions' IP models for this
+//! `targets` experiment builds the same functions' IP models for this
 //! machine and for [`X86Machine`](crate::X86Machine) to reproduce the
 //! paper's observation that the x86 model has roughly a quarter of the
 //! constraints.

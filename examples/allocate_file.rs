@@ -13,7 +13,7 @@
 
 use std::io::Read;
 
-use precise_regalloc::core::{check, IpAllocator};
+use precise_regalloc::core::{check, RobustAllocator};
 use precise_regalloc::ir::{parse_function, verify_function};
 use precise_regalloc::x86::{verify_machine, X86Machine, X86RegFile};
 
@@ -34,13 +34,18 @@ fn main() {
     verify_function(&f).unwrap_or_else(|e| panic!("ill-formed input: {e:?}"));
 
     let machine = X86Machine::pentium();
-    let out = IpAllocator::new(&machine)
+    let out = RobustAllocator::new(&machine)
         .allocate(&f)
         .expect("function uses 64-bit values");
     println!("{}", out.func);
+    let report = &out.report;
     eprintln!(
         "; {} constraints, {} vars; solved={}, optimal={}, {:?}",
-        out.num_constraints, out.num_vars, out.solved, out.solved_optimally, out.solve_time
+        report.num_constraints,
+        report.num_vars,
+        report.solved(),
+        report.solved_optimally(),
+        report.solve_time
     );
     eprintln!(
         "; spill overhead: {} loads, {} stores, {} remats, {} copies (net, profile-weighted)",

@@ -4,7 +4,7 @@
 //! Run with `cargo run --release --example compare_allocators -- [scale]`.
 
 use precise_regalloc::coloring::ColoringAllocator;
-use precise_regalloc::core::{check, IpAllocator};
+use precise_regalloc::core::{check, RobustAllocator};
 use precise_regalloc::workloads::{Benchmark, Suite};
 use precise_regalloc::x86::{X86Machine, X86RegFile};
 
@@ -14,7 +14,7 @@ fn main() {
         .and_then(|s| s.parse().ok())
         .unwrap_or(0.05);
     let machine = X86Machine::pentium();
-    let ip = IpAllocator::new(&machine);
+    let ip = RobustAllocator::new(&machine);
     let gc = ColoringAllocator::new(&machine);
 
     let mut total_ip = precise_regalloc::core::SpillStats::default();
@@ -37,10 +37,10 @@ fn main() {
                 f.num_insts(),
                 a.stats.overhead_cycles(),
                 c.stats.overhead_cycles(),
-                a.solved_optimally
+                a.report.solved_optimally()
             );
             n += 1;
-            optimal += a.solved_optimally as u32;
+            optimal += a.report.solved_optimally() as u32;
             match a.stats.overhead_cycles().cmp(&c.stats.overhead_cycles()) {
                 std::cmp::Ordering::Less => wins += 1,
                 std::cmp::Ordering::Equal => ties += 1,

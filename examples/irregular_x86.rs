@@ -3,13 +3,15 @@
 //!
 //! Run with `cargo run --release --example irregular_x86`.
 
-use precise_regalloc::core::{check, IpAllocator};
+use precise_regalloc::core::{check, RobustAllocator, RobustOutcome};
 use precise_regalloc::ir::{BinOp, Function, FunctionBuilder, Inst, Loc, Operand, UnOp, Width};
 use precise_regalloc::x86::{regs, X86Machine, X86RegFile};
 
-fn allocate(f: &Function) -> precise_regalloc::core::AllocOutcome {
+fn allocate(f: &Function) -> RobustOutcome {
     let machine = X86Machine::pentium();
-    let out = IpAllocator::new(&machine).allocate(f).expect("attempted");
+    let out = RobustAllocator::new(&machine)
+        .allocate(f)
+        .expect("attempted");
     check::equivalent::<X86RegFile>(f, &out.func, 5, 7).expect("correct");
     out
 }

@@ -1,12 +1,14 @@
-//! Quickstart: build a tiny function, allocate it with the IP allocator,
-//! inspect the result, and prove the allocation behaves identically to
-//! the original by executing both.
+//! Quickstart: build a tiny function, allocate it with the IP allocator
+//! and inspect the result. The allocator accepts an allocation only after
+//! it passes structural verification, the static translation validator
+//! and interpreter-equivalence runs against the original, so the code it
+//! returns is already checked.
 //!
 //! Run with `cargo run --release --example quickstart`.
 
-use precise_regalloc::core::{check, IpAllocator};
-use precise_regalloc::ir::{verify_allocated, BinOp, FunctionBuilder, Operand, Width};
-use precise_regalloc::x86::{X86Machine, X86RegFile};
+use precise_regalloc::core::RobustAllocator;
+use precise_regalloc::ir::{BinOp, FunctionBuilder, Operand, Width};
+use precise_regalloc::x86::X86Machine;
 
 fn main() {
     // return (a * a) + b;  — a and b arrive on the stack, x86-style.
@@ -27,27 +29,28 @@ fn main() {
     println!("== symbolic input ==\n{f}\n");
 
     let machine = X86Machine::pentium();
-    let out = IpAllocator::new(&machine)
+    let out = RobustAllocator::new(&machine)
         .allocate(&f)
         .expect("32-bit function is attempted");
+    let report = &out.report;
 
     println!("== allocated output ==\n{}\n", out.func);
     println!(
         "model: {} constraints, {} variables; solved={}, optimal={}, {} B&B nodes in {:?}",
-        out.num_constraints,
-        out.num_vars,
-        out.solved,
-        out.solved_optimally,
-        out.solver_nodes,
-        out.solve_time
+        report.num_constraints,
+        report.num_vars,
+        report.solved(),
+        report.solved_optimally(),
+        report.solver_nodes,
+        report.solve_time
     );
     println!(
         "spill overhead: {} loads, {} stores, {} remats, {} copies (net)",
         out.stats.loads, out.stats.stores, out.stats.remats, out.stats.copies
     );
-
-    verify_allocated(&out.func).expect("structurally valid");
-    check::equivalent::<X86RegFile>(&f, &out.func, 8, 0xD1CE)
-        .expect("allocated code behaves identically");
-    println!("\nequivalence check passed: 8 random input vectors, identical behaviour.");
+    println!(
+        "\naccepted on rung {} after {:?} of validation \
+         (structural, static and 4 interpreter-equivalence runs).",
+        report.rung, report.validate_time
+    );
 }

@@ -8,7 +8,7 @@
 //!
 //! Run with `cargo run --release --example size_optimization`.
 
-use precise_regalloc::core::{check, CostModel, IpAllocator};
+use precise_regalloc::core::{check, CostModel, RobustAllocator};
 use precise_regalloc::ir::{BinOp, Cond, FunctionBuilder, Operand, Width};
 use precise_regalloc::x86::{encoding, X86Machine, X86RegFile};
 
@@ -50,7 +50,7 @@ fn main() {
         ("speed (paper weights: A, B=1000)", CostModel::paper()),
         ("size-only (§4 embedded mode)", CostModel::size_only()),
     ] {
-        let out = IpAllocator::new(&machine)
+        let out = RobustAllocator::new(&machine)
             .with_cost_model(cost)
             .allocate(&f)
             .expect("attempted");
@@ -60,7 +60,7 @@ fn main() {
         println!(
             "encoded size {bytes} bytes; dynamic overhead {} cycles; solved optimally: {}",
             out.stats.overhead_cycles(),
-            out.solved_optimally
+            out.report.solved_optimally()
         );
         println!("{}\n", out.func);
     }

@@ -51,12 +51,13 @@
 //! b.ret(Some(r));
 //! let f = b.finish();
 //!
-//! // Allocate with the IP allocator for the x86.
+//! // Allocate with the IP allocator for the x86: build, solve, rewrite,
+//! // and validate the result before accepting it.
 //! let machine = X86Machine::pentium();
-//! let result = IpAllocator::new(&machine)
+//! let result = RobustAllocator::new(&machine)
 //!     .allocate(&f)
 //!     .expect("allocation succeeds");
-//! assert!(result.solved_optimally);
+//! assert!(result.report.solved_optimally());
 //! ```
 
 pub use regalloc_cc as cc;
@@ -73,7 +74,7 @@ pub use regalloc_x86 as x86;
 /// Convenient glob-import surface for examples and tests.
 pub mod prelude {
     pub use regalloc_coloring::ColoringAllocator;
-    pub use regalloc_core::{AllocOutcome, IpAllocator};
+    pub use regalloc_core::{RobustAllocator, RobustOutcome};
     pub use regalloc_ir::{Address, BinOp, Cond, Function, FunctionBuilder, Operand, SymId, Width};
     pub use regalloc_workloads::{Benchmark, Suite};
     pub use regalloc_x86::X86Machine;

@@ -9,7 +9,6 @@
 //!   byte-identical between `--jobs 1` and `--jobs 8`.
 
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 
 use precise_regalloc::cc;
 use precise_regalloc::driver::{run_suite, CacheMode, DriverConfig};
@@ -116,28 +115,15 @@ fn driver_output_over_corpus_is_deterministic_across_jobs() {
     let funcs = compile_corpus();
     let report_for = |jobs: usize| {
         let cfg = DriverConfig {
-            target: regalloc_machine::TargetId::X86Pentium,
             jobs,
-            solver: SolverConfig {
-                time_limit: Duration::from_secs(300),
-                lp_iter_limit: 2_000,
-                node_limit: 16,
-                max_rows: 600,
-                ..SolverConfig::default()
-            },
-            function_budget: Duration::from_secs(300),
-            global_budget: None,
+            solver: SolverConfig::deterministic(),
+            function_budget: SolverConfig::deterministic().time_limit,
             cache: CacheMode::Off,
-            cache_limits: regalloc_driver::cache::CacheLimits::unlimited(),
             equiv_runs: 1,
             equiv_seed: 7,
-            compare_baseline: false,
             lint: true,
-            revalidate_cache: true,
             warm_starts: false,
-            warm_start_distance: 0.25,
-            audit: false,
-            trace: false,
+            ..DriverConfig::default()
         };
         let out = run_suite(&funcs, &cfg);
         let mut report = Report::default();

@@ -9,7 +9,7 @@
 //! file.
 
 use precise_regalloc::coloring::ColoringAllocator;
-use precise_regalloc::core::{check, IpAllocator};
+use precise_regalloc::core::{check, AllocReport, ReasonCode, RobustAllocator};
 use precise_regalloc::ir::verify_allocated;
 use precise_regalloc::workloads::{Benchmark, Suite};
 use precise_regalloc::x86::{X86Machine, X86RegFile};
@@ -21,12 +21,33 @@ fn regalloc_ilp_config(millis: u64) -> precise_regalloc::ilp::SolverConfig {
     }
 }
 
+/// Fail on a demotion that means a candidate was wrong: a panic or a
+/// failed validator. The pipeline emits a lower rung's code in its place,
+/// which the checks below would accept, so the defect would otherwise go
+/// unseen.
+fn assert_no_defect(report: &AllocReport) {
+    let defects: Vec<_> = report
+        .demotions
+        .iter()
+        .filter(|d| {
+            matches!(
+                d.reason,
+                ReasonCode::Panic
+                    | ReasonCode::ValidationFailed
+                    | ReasonCode::EquivalenceFailed
+                    | ReasonCode::StaticValidationFailed
+            )
+        })
+        .collect();
+    assert!(defects.is_empty(), "{}: {defects:?}", report.name);
+}
+
 fn check_suite(benchmark: Benchmark, scale: f64, seed: u64) {
     let machine = X86Machine::pentium();
     // A small solver budget keeps the test suite fast; the warm start
     // guarantees an allocation regardless, and correctness is what these
     // tests check (the experiment harness uses the real budget).
-    let ip = IpAllocator::new(&machine).with_solver_config(regalloc_ilp_config(300));
+    let ip = RobustAllocator::new(&machine).with_solver_config(regalloc_ilp_config(300));
     let gc = ColoringAllocator::new(&machine);
     let suite = Suite::generate_scaled(benchmark, seed, scale);
     let mut attempted = 0;
@@ -40,6 +61,7 @@ fn check_suite(benchmark: Benchmark, scale: f64, seed: u64) {
         let out = ip
             .allocate(f)
             .unwrap_or_else(|e| panic!("{}: {e}", f.name()));
+        assert_no_defect(&out.report);
         verify_allocated(&out.func).unwrap_or_else(|e| panic!("{}: {e:?}", f.name()));
         precise_regalloc::x86::verify_machine(&machine, &out.func)
             .unwrap_or_else(|e| panic!("IP machine verify {}: {e:?}\n{}", f.name(), out.func));
@@ -100,13 +122,14 @@ fn eqntott_sample_end_to_end() {
 fn risc_machine_end_to_end_sample() {
     use precise_regalloc::x86::{RiscMachine, RiscRegFile};
     let machine = RiscMachine::new();
-    let ip = IpAllocator::new(&machine).with_solver_config(regalloc_ilp_config(300));
+    let ip = RobustAllocator::new(&machine).with_solver_config(regalloc_ilp_config(300));
     let suite = Suite::generate_scaled(Benchmark::Compress, 21, 0.5);
     for f in &suite.functions {
         if f.uses_64bit() {
             continue;
         }
         let out = ip.allocate(f).unwrap();
+        assert_no_defect(&out.report);
         verify_allocated(&out.func).unwrap();
         check::equivalent::<RiscRegFile>(f, &out.func, 3, 21)
             .unwrap_or_else(|e| panic!("RISC {}: {e}", f.name()));
@@ -119,7 +142,7 @@ fn ip_beats_or_ties_coloring_in_aggregate() {
     // overhead must be below the baseline's (the paper reports 36% of
     // the spill instructions, 61% less overhead).
     let machine = X86Machine::pentium();
-    let ip = IpAllocator::new(&machine).with_solver_config(regalloc_ilp_config(500));
+    let ip = RobustAllocator::new(&machine).with_solver_config(regalloc_ilp_config(500));
     let gc = ColoringAllocator::new(&machine);
     let suite = Suite::generate_scaled(Benchmark::Espresso, 31, 0.08);
     let mut ip_cycles = 0i64;
@@ -129,10 +152,11 @@ fn ip_beats_or_ties_coloring_in_aggregate() {
             continue;
         }
         let a = ip.allocate(f).unwrap();
+        assert_no_defect(&a.report);
         let c = gc.allocate(f).unwrap();
         // Paper pipeline: unsolved functions keep the compiler's default
         // allocation (see DESIGN.md / EXPERIMENTS.md).
-        ip_cycles += if a.solved { a.stats } else { c.stats }.overhead_cycles();
+        ip_cycles += if a.report.solved() { a.stats } else { c.stats }.overhead_cycles();
         gc_cycles += c.stats.overhead_cycles();
     }
     assert!(

@@ -154,29 +154,16 @@ fn lint_report_is_deterministic_across_jobs() {
     let suite = Suite::generate_scaled(Benchmark::Compress, 1998, 0.05);
     let report_for = |jobs: usize| {
         let cfg = DriverConfig {
-            target: regalloc_machine::TargetId::X86Pentium,
             jobs,
-            solver: SolverConfig {
-                time_limit: Duration::from_secs(300),
-                lp_iter_limit: 2_000,
-                node_limit: 16,
-                max_rows: 600,
-                ..SolverConfig::default()
-            },
-            function_budget: Duration::from_secs(300),
-            global_budget: None,
+            solver: SolverConfig::deterministic(),
+            function_budget: SolverConfig::deterministic().time_limit,
             cache: CacheMode::Off,
-            cache_limits: regalloc_driver::cache::CacheLimits::unlimited(),
             equiv_runs: 1,
             equiv_seed: 7,
-            compare_baseline: false,
             lint: true,
-            revalidate_cache: true,
             // No cache, so no donor snapshot exists to warm-start from.
             warm_starts: false,
-            warm_start_distance: 0.25,
-            audit: false,
-            trace: false,
+            ..DriverConfig::default()
         };
         let out = run_suite(&suite.functions, &cfg);
         let mut report = Report::default();
