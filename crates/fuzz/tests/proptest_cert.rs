@@ -5,14 +5,18 @@
 //! 2. every seeded perturbation of such a proof is rejected;
 //! 3. switching auditing on never changes the allocation, and the
 //!    deterministic event stream differs only by the audit's own
-//!    events.
+//!    events;
+//!
+//! plus a fixed check that a proof closed at the root, whose one leaf
+//! carries the dive's first relaxation's duals, verifies.
 
 use proptest::prelude::*;
 
 use regalloc_core::pipeline::RobustAllocator;
 use regalloc_core::IpAllocator;
 use regalloc_fuzz::perturb_certificate;
-use regalloc_ilp::{solve_seeded, Deadline, SolverConfig, Status};
+use regalloc_ilp::cert::Claim;
+use regalloc_ilp::{solve_seeded, solve_seeded_traced, Deadline, Incumbent, SolverConfig, Status};
 use regalloc_obs::{Event, Phase, Tracer};
 use regalloc_workloads::{fuzz_function, GenConfig};
 use regalloc_x86::X86Machine;
@@ -43,6 +47,77 @@ fn proof_for(
     };
     let sol = solve_seeded(&built.model, &cfg, &[], Deadline::unlimited());
     matches!(sol.status, Status::Optimal | Status::Infeasible).then_some((built.model, sol))
+}
+
+/// A search that closes at its root emits a one-leaf proof whose
+/// multipliers are the dive's first relaxation's, handed to the root node
+/// rather than recomputed there; that proof must verify like any other.
+#[test]
+fn root_leaf_proofs_verify() {
+    // Odd-cycle packing on 7 vertices: the root relaxation is fractional
+    // (-3.5), and its bound rounds up to the seeded optimum (-3).
+    let mut seeded = regalloc_ilp::Model::new();
+    let v: Vec<_> = (0..7)
+        .map(|i| seeded.add_var(-1.0, format!("x{i}")))
+        .collect();
+    for i in 0..7 {
+        seeded.add_le(vec![(v[i], 1.0), (v[(i + 1) % 7], 1.0)], 1.0);
+    }
+    let optimum = Incumbent {
+        source: "exact",
+        values: (0..7).map(|i| i % 2 == 0 && i < 6).collect(),
+    };
+    // Exactly one of three: the root relaxation is integral, so the dive
+    // lands on the optimum and the root's bound meets it.
+    let mut integral = regalloc_ilp::Model::new();
+    let w: Vec<_> = [5.0, 1.0, 3.0]
+        .iter()
+        .map(|&c| integral.add_var(c, "w"))
+        .collect();
+    integral.add_eq(w.iter().map(|&x| (x, 1.0)).collect(), 1.0);
+
+    let cfg = SolverConfig {
+        emit_certificates: true,
+        ..SolverConfig::deterministic()
+    };
+    for (name, model, seeds) in [
+        ("seeded optimum", &seeded, vec![optimum]),
+        ("integral root", &integral, vec![]),
+    ] {
+        let tracer = Tracer::on();
+        let sol = solve_seeded_traced(model, &cfg, &seeds, Deadline::unlimited(), &tracer);
+        let trace = tracer.finish("root");
+        assert_eq!(sol.status, Status::Optimal, "{name}");
+        assert_eq!(sol.nodes, 1, "{name}: the root closes the search");
+        assert!(
+            trace.events.iter().any(|e| matches!(
+                e,
+                Event::Node {
+                    index: 1,
+                    lp_iters: 0,
+                    outcome: "pruned",
+                    ..
+                }
+            )),
+            "{name}: the root is a pruned leaf relaxed by the dive"
+        );
+        let cert = sol
+            .certificate
+            .as_ref()
+            .expect("a closed search is certified");
+        assert_eq!(cert.leaves.len(), 1, "{name}");
+        assert!(
+            matches!(&cert.leaves[0].claim, Claim::Bound { duals } if duals.len() == model.num_rows()),
+            "{name}: the root leaf carries the dive's duals"
+        );
+        let out = regalloc_audit::audit_solution(model, &sol);
+        assert_eq!(
+            out.verdict,
+            regalloc_audit::Verdict::Verified,
+            "{name}: {:?}",
+            out.diagnostics
+        );
+    }
 }
 
 /// Audit span markers and certificate events — the only trace difference

@@ -8,7 +8,7 @@ use crate::cert::{Certificate, Claim, NodeCert, Step};
 use crate::health::{Deadline, HealthState, SolverHealth};
 use crate::model::Model;
 use crate::presolve::{propagate_counted, propagate_recorded_counted, PropRecorder, Propagation};
-use crate::simplex::{solve_lp, solve_lp_with_duals, DualInfo, LpOutcome};
+use crate::simplex::{solve_lp_with_duals, DualInfo, LpOutcome};
 
 /// Solver configuration.
 #[derive(Clone, Debug)]
@@ -22,9 +22,11 @@ pub struct SolverConfig {
     /// Node limit for the branch-and-bound search.
     pub node_limit: u64,
     /// Models with more rows than this are declined with
-    /// [`Status::Unknown`] (the dense basis inverse would be too large) —
-    /// the analogue of the memory limits that left a few of the paper's
-    /// functions unsolved.
+    /// [`Status::Unknown`] — the analogue of the memory limits that left a
+    /// few of the paper's functions unsolved. The simplex reserves an
+    /// `8·rows²`-byte value store for its basis inverse (pages are
+    /// committed only where entries turn nonzero), and a refactorization
+    /// costs `O(rows³)`.
     pub max_rows: usize,
     /// Attach a [`Certificate`] to completed solves (proved
     /// [`Status::Optimal`] or [`Status::Infeasible`]) of integral-cost
@@ -196,6 +198,21 @@ fn note_health(tracer: &Tracer, prev: &mut HealthState, health: &SolverHealth) {
     }
 }
 
+/// What a dive found and spent.
+struct DiveOutcome {
+    /// The integral candidate reached, with its objective.
+    found: Option<(Vec<bool>, f64)>,
+    /// Simplex iterations consumed, the first relaxation's included.
+    iters: u64,
+    /// Deepest fix depth reached.
+    depth: u64,
+    /// The first relaxation — the root box after the root's propagation —
+    /// for the root node to reuse instead of solving the same LP again.
+    /// `None` when the dive solved no relaxation or its first one stopped
+    /// on the clock.
+    root: Option<(LpOutcome, DualInfo)>,
+}
+
 /// LP-guided diving: repeatedly solve the relaxation, freeze the
 /// (nearly-)integral variables, and fix the least-fractional remaining
 /// variable to its nearest bound, until the point is integral or the
@@ -204,30 +221,35 @@ fn note_health(tracer: &Tracer, prev: &mut HealthState, health: &SolverHealth) {
 ///
 /// Returns the candidate (if any) plus the simplex iterations the dive
 /// consumed and the deepest fix depth it reached, so the caller can
-/// attribute them to the solve totals and the flight recorder.
+/// attribute them to the solve totals and the flight recorder, and the
+/// first relaxation, solved with duals when `root_duals` is set.
 fn dive(
     model: &Model,
-    lb0: &[f64],
-    ub0: &[f64],
     cfg: &SolverConfig,
     deadline: Deadline,
+    root_duals: bool,
     health: &mut SolverHealth,
     tracer: &Tracer,
-) -> (Option<(Vec<bool>, f64)>, u64, u64) {
-    let mut lb = lb0.to_vec();
-    let mut ub = ub0.to_vec();
-    let mut iters = 0u64;
-    // Variables explicitly fixed by the dive so far (backtracks re-fix at
-    // the same depth rather than deepening it).
-    let mut depth = 0u64;
+) -> DiveOutcome {
+    let n = model.num_vars();
+    let mut lb = vec![0.0; n];
+    let mut ub = vec![1.0; n];
+    // `depth` counts the variables explicitly fixed by the dive so far
+    // (backtracks re-fix at the same depth rather than deepening it).
+    let mut out = DiveOutcome {
+        found: None,
+        iters: 0,
+        depth: 0,
+        root: None,
+    };
     // When a fix dead-ends, retry once with the opposite value before
     // giving up (fractional action variables often round down onto an
     // unsatisfiable must-allocate row).
     let mut retry: Option<(Vec<f64>, Vec<f64>, usize, f64)> = None;
     let mut backtracks = 0u32;
-    for _ in 0..(2 * model.num_vars()).max(16) {
+    for round in 0..(2 * n).max(16) {
         if deadline.expired() {
-            return (None, iters, depth);
+            return out;
         }
         let feasible = {
             let _t = tracer.time(Phase::Presolve);
@@ -237,11 +259,27 @@ fn dive(
         };
         let lp = if feasible {
             let _t = tracer.time(Phase::Simplex);
-            solve_lp(model, &lb, &ub, cfg.lp_iter_limit, deadline, health)
+            let mut duals = DualInfo::default();
+            let lp = solve_lp_with_duals(
+                model,
+                &lb,
+                &ub,
+                cfg.lp_iter_limit,
+                deadline,
+                health,
+                (round == 0 && root_duals).then_some(&mut duals),
+            );
+            // Any outcome but a clock stop is what the root node would
+            // compute on this box, pivot for pivot.
+            let clock_stop = matches!(lp, LpOutcome::Limit { iters } if iters < cfg.lp_iter_limit);
+            if round == 0 && !clock_stop {
+                out.root = Some((lp.clone(), duals));
+            }
+            lp
         } else {
             LpOutcome::Infeasible { iters: 0 }
         };
-        iters += lp.iters();
+        out.iters += lp.iters();
         let x = match lp {
             LpOutcome::Optimal { x, .. } => x,
             LpOutcome::Infeasible { .. } => {
@@ -255,10 +293,10 @@ fn dive(
                         ub[j] = 1.0 - r;
                         continue;
                     }
-                    _ => return (None, iters, depth),
+                    _ => return out,
                 }
             }
-            LpOutcome::Limit { .. } | LpOutcome::Numerical { .. } => return (None, iters, depth),
+            LpOutcome::Limit { .. } | LpOutcome::Numerical { .. } => return out,
         };
         // Freeze everything already integral.
         let mut best: Option<(usize, f64)> = None; // least fractional
@@ -280,18 +318,18 @@ fn dive(
             let cand = round_point(&x);
             if model.is_feasible(&cand) {
                 let obj = model.objective(&cand);
-                return (Some((cand, obj)), iters, depth);
+                out.found = Some((cand, obj));
             }
-            return (None, iters, depth);
+            return out;
         }
         let (j, _) = best.unwrap();
         let r = if x[j] >= 0.5 { 1.0 } else { 0.0 };
         retry = Some((lb.clone(), ub.clone(), j, r));
         lb[j] = r;
         ub[j] = r;
-        depth += 1;
+        out.depth += 1;
     }
-    (None, iters, depth)
+    out
 }
 
 /// Solve the 0-1 program `model`, seeded with candidate incumbents.
@@ -427,19 +465,22 @@ pub fn solve_seeded_traced(
         return finish(status, best, 0, 0, warm_start_only, health, None);
     }
 
+    // Certificate emission: per-leaf claims with their root paths. Any
+    // leaf that cannot be certified (or blowing the memory cap) drops the
+    // whole certificate — never the solve.
+    let mut cert_ok = cfg.emit_certificates && integral;
+
     // Primal dive from the root for a strong initial incumbent (the warm
     // start, when provided, is typically a weak spill-everything bound).
-    {
+    // Its first relaxation is the root node's, solved once.
+    let mut root_lp = {
         let dive_deadline = deadline.earliest(Deadline::after(cfg.time_limit.mul_f64(0.8)));
-        let (dived, dive_iters, dive_depth) = dive(
-            model,
-            &vec![0.0; n],
-            &vec![1.0; n],
-            cfg,
-            dive_deadline,
-            &mut health,
-            tracer,
-        );
+        let DiveOutcome {
+            found: dived,
+            iters: dive_iters,
+            depth: dive_depth,
+            root: root_relaxation,
+        } = dive(model, cfg, dive_deadline, cert_ok, &mut health, tracer);
         lp_iters += dive_iters;
         health.max_dive_depth = health.max_dive_depth.max(dive_depth);
         note_health(tracer, &mut hstate, &health);
@@ -464,7 +505,8 @@ pub fn solve_seeded_traced(
                 source: "dive",
             });
         }
-    }
+        root_relaxation
+    };
 
     // Root node with declared fixings applied.
     let root = Node {
@@ -477,10 +519,6 @@ pub fn solve_seeded_traced(
     // True once any node had to be abandoned (LP limit/numerical): the
     // optimality proof is lost but incumbents remain valid.
     let mut proof_lost = false;
-    // Certificate emission: per-leaf claims with their root paths. Any
-    // leaf that cannot be certified (or blowing the memory cap) drops the
-    // whole certificate — never the solve.
-    let mut cert_ok = cfg.emit_certificates && integral;
     let mut cert_leaves: Vec<NodeCert> = Vec::new();
     let mut cert_mem: usize = 0;
     const CERT_MEM_CAP: usize = 4_000_000;
@@ -515,6 +553,8 @@ pub fn solve_seeded_traced(
         }
         nodes += 1;
         let node_depth = node.depth;
+        // Only the first node popped, the root, finds the dive's answer.
+        let shared = root_lp.take();
 
         let prop = if cert_ok {
             let mut rec = PropRecorder {
@@ -554,22 +594,30 @@ pub fn solve_seeded_traced(
         }
 
         let mut dual = DualInfo::default();
-        let lp = {
-            let _t = tracer.time(Phase::Simplex);
-            solve_lp_with_duals(
-                model,
-                &node.lb,
-                &node.ub,
-                cfg.lp_iter_limit,
-                deadline,
-                &mut health,
-                cert_ok.then_some(&mut dual),
-            )
-        };
         // Attribute this node's simplex work whether or not the
         // relaxation produced a usable point — pruned and abandoned
-        // nodes cost real iterations too.
-        let node_iters = lp.iters();
+        // nodes cost real iterations too. The root's relaxation was the
+        // dive's, whose iterations the dive already counted.
+        let (lp, node_iters) = match shared {
+            Some((lp, duals)) => {
+                dual = duals;
+                (lp, 0)
+            }
+            None => {
+                let _t = tracer.time(Phase::Simplex);
+                let lp = solve_lp_with_duals(
+                    model,
+                    &node.lb,
+                    &node.ub,
+                    cfg.lp_iter_limit,
+                    deadline,
+                    &mut health,
+                    cert_ok.then_some(&mut dual),
+                );
+                let iters = lp.iters();
+                (lp, iters)
+            }
+        };
         lp_iters += node_iters;
         note_health(tracer, &mut hstate, &health);
         let (x, obj) = match lp {

@@ -1,6 +1,6 @@
 //! Bounded-variable two-phase primal simplex for LP relaxations.
 //!
-//! The implementation is a revised simplex with a dense basis inverse:
+//! The implementation is a revised simplex with an explicit basis inverse:
 //!
 //! * all variables carry lower/upper bounds (structurals `[lb, ub] ⊆ [0,1]`,
 //!   slacks one-sided by constraint sense),
@@ -15,10 +15,23 @@
 //! * basic values are recomputed from the basis inverse periodically to
 //!   bound drift.
 //!
-//! The dense basis inverse costs `O(m²)` memory and per-iteration time; the
-//! branch-and-bound driver guards against oversized models (as CPLEX's
-//! memory limits effectively did in the paper's experiments, where a few
-//! functions went unsolved).
+//! The inverse keeps its values in a dense `m × m` store (8·m² bytes,
+//! allocated zeroed) beside an index of its nonzeros that each update
+//! extends.
+//! ftran, btran, the update and the basic-value refresh visit indexed
+//! entries only, so an iteration costs what the nonzeros it touches cost
+//! — the update `|w| × |pivot row|`, ftran the entering column's columns
+//! of `B⁻¹` — instead of `O(m²)`. A row whose pattern covers more than a
+//! quarter of its entries is swept in full instead, as the dense kernels
+//! sweep every row: streaming memory beats hopping through a long list, so
+//! an iteration of a long solve, whose inverse fills in, costs about what
+//! the dense kernels cost. Skipped terms are products with an exact zero, so
+//! every value, and therefore every pivot, is the one the full-length
+//! dense sweeps compute (see [`BasisInverse`]). The rare refactorization
+//! is a dense `O(m³)` Gauss–Jordan elimination; the branch-and-bound
+//! driver declines models above [`crate::SolverConfig::max_rows`] (as
+//! CPLEX's memory limits effectively did in the paper's experiments, where
+//! a few functions went unsolved).
 
 use crate::health::{Deadline, SolverHealth};
 use crate::model::{Model, Sense};
@@ -131,6 +144,262 @@ fn clamp_duals(model: &Model, y: &mut Vec<f64>) {
     }
 }
 
+/// A row pattern longer than `m / DENSE_SHARE` entries is swept in full:
+/// the sweep streams contiguous memory, the list jumps around it.
+const DENSE_SHARE: usize = 4;
+
+/// Which implementation of the basis-inverse kernels a tableau runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kernels {
+    /// Driven by the inverse's nonzero index.
+    Sparse,
+    /// The full-length dense sweeps the sparse kernels reproduce, kept as
+    /// the oracle of the bit-identity test.
+    #[cfg(test)]
+    Dense,
+}
+
+/// The explicit basis inverse `B⁻¹` with an index of its nonzeros.
+///
+/// Values live in a dense row-major `m × m` store, so reading any entry is
+/// O(1); the store is allocated zeroed, so a large one commits only the
+/// pages the kernels write. Beside it, the update maintains the set of
+/// *listed* entries: every nonzero entry is listed, and a listed entry may
+/// since have become exactly zero. Each kernel performs the dense kernel's
+/// arithmetic on listed entries only, summing in the dense loops' order.
+/// The terms it skips are products with an exact zero, which leave any
+/// nonzero partial sum unchanged, so while the values stay finite every
+/// result equals the dense kernel's bit for bit, up to the sign of an
+/// exact zero — which no decision reads: pricing, the ratio test and
+/// rounding compare against tolerances, and [`clamp_duals`] maps dust to
+/// `+0.0`.
+struct BasisInverse {
+    m: usize,
+    /// Row-major values; every unlisted entry is exactly zero.
+    val: Vec<f64>,
+    /// `col_nz[k]`: the rows `i` of the listed entries `(i, k)`.
+    col_nz: Vec<Vec<u32>>,
+    /// `row_nz[i]`: the columns `k` of the listed entries `(i, k)`.
+    row_nz: Vec<Vec<u32>>,
+    /// Bit `i·m + k` is set when `(i, k)` is listed.
+    listed: Vec<u64>,
+    /// `full[i]`: every entry of row `i` is listed, as it is once a dense
+    /// pivot row has reached it.
+    full: Vec<bool>,
+}
+
+impl BasisInverse {
+    /// The all-zero inverse; [`BasisInverse::set_diagonal`] fills in the
+    /// starting basis.
+    fn new(m: usize) -> BasisInverse {
+        BasisInverse {
+            m,
+            val: vec![0.0; m * m],
+            col_nz: vec![Vec::new(); m],
+            row_nz: vec![Vec::new(); m],
+            listed: vec![0; (m * m).div_ceil(64)],
+            full: vec![false; m],
+        }
+    }
+
+    fn set_diagonal(&mut self, i: usize, v: f64) {
+        self.val[i * self.m + i] = v;
+        self.list(i, i);
+    }
+
+    /// Add `(i, k)` to the index unless it is listed already.
+    fn list(&mut self, i: usize, k: usize) {
+        let bit = i * self.m + k;
+        let word = &mut self.listed[bit / 64];
+        let mask = 1u64 << (bit % 64);
+        if *word & mask == 0 {
+            *word |= mask;
+            self.row_nz[i].push(k as u32);
+            self.col_nz[k].push(i as u32);
+        }
+    }
+
+    /// List every entry of row `i`.
+    fn fill_row(&mut self, i: usize) {
+        if !self.full[i] {
+            for k in 0..self.m {
+                self.list(i, k);
+            }
+            self.full[i] = true;
+        }
+    }
+
+    /// `w = B⁻¹ a` for a sparse column `a`; each `w_i` sums over `a`'s
+    /// entries in order.
+    fn ftran(&self, a: &[(usize, f64)], w: &mut [f64]) {
+        w.fill(0.0);
+        for &(k, c) in a {
+            for &i in &self.col_nz[k] {
+                let i = i as usize;
+                w[i] += self.val[i * self.m + k] * c;
+            }
+        }
+    }
+
+    /// True when a row pattern of `len` entries is cheaper to sweep in
+    /// full than through its list.
+    fn dense(&self, len: usize) -> bool {
+        len * DENSE_SHARE > self.m
+    }
+
+    /// `y = cᵦᵀ B⁻¹`, where `cb` yields the basic costs row by row; each
+    /// `y_k` sums over ascending basis rows.
+    fn btran(&self, cb: impl Iterator<Item = f64>, y: &mut [f64]) {
+        y.fill(0.0);
+        for (i, c) in cb.enumerate() {
+            if c != 0.0 {
+                let row = &self.val[i * self.m..(i + 1) * self.m];
+                if self.dense(self.row_nz[i].len()) {
+                    for (yk, bv) in y.iter_mut().zip(row) {
+                        *yk += c * bv;
+                    }
+                } else {
+                    for &k in &self.row_nz[i] {
+                        y[k as usize] += c * row[k as usize];
+                    }
+                }
+            }
+        }
+    }
+
+    /// `out = B⁻¹ r`; each `out_i` sums over ascending columns.
+    fn apply(&self, r: &[f64], out: &mut [f64]) {
+        out.fill(0.0);
+        for (k, &rk) in r.iter().enumerate() {
+            if rk != 0.0 {
+                for &i in &self.col_nz[k] {
+                    let i = i as usize;
+                    out[i] += self.val[i * self.m + k] * rk;
+                }
+            }
+        }
+    }
+
+    /// Pivot on basis row `r`, where `w = B⁻¹ a_j` is the entering
+    /// column: row `r` is divided by `w_r` and eliminated from every other
+    /// row `i` with `|w_i| > 1e-12`, over row `r`'s nonzero columns — or
+    /// over the whole row when those are too many to visit one by one.
+    fn pivot(&mut self, r: usize, w: &[f64]) {
+        let m = self.m;
+        let wr = w[r];
+        let row_r = r * m..(r + 1) * m;
+        if self.dense(self.row_nz[r].len()) {
+            for v in &mut self.val[row_r.clone()] {
+                *v /= wr;
+            }
+        } else {
+            for &k in &self.row_nz[r] {
+                self.val[r * m + k as usize] /= wr;
+            }
+        }
+        // Row r's nonzeros; its listed zeros would only subtract zero
+        // products from the other rows.
+        let pivot_row: Vec<(usize, f64)> = self.row_nz[r]
+            .iter()
+            .map(|&k| (k as usize, self.val[r * m + k as usize]))
+            .filter(|&(_, p)| p != 0.0)
+            .collect();
+        if self.dense(pivot_row.len()) {
+            let pivot_row = self.val[row_r].to_vec();
+            for (i, &f) in w.iter().enumerate() {
+                if i != r && f.abs() > 1e-12 {
+                    // Row i gains this many entries anyway: list all of
+                    // them once instead of checking each new one.
+                    self.fill_row(i);
+                    for (v, p) in self.val[i * m..(i + 1) * m].iter_mut().zip(&pivot_row) {
+                        *v -= f * p;
+                    }
+                }
+            }
+        } else {
+            for (i, &f) in w.iter().enumerate() {
+                if i != r && f.abs() > 1e-12 {
+                    for &(k, p) in &pivot_row {
+                        let v = &mut self.val[i * m + k];
+                        let was_zero = *v == 0.0;
+                        *v -= f * p;
+                        // A nonzero entry is listed already.
+                        if was_zero {
+                            self.list(i, k);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Replace the values by a freshly factorized inverse and re-index
+    /// its nonzeros.
+    fn reset(&mut self, val: Vec<f64>) {
+        self.val = val;
+        self.listed.fill(0);
+        self.full.fill(false);
+        for l in self.row_nz.iter_mut().chain(&mut self.col_nz) {
+            l.clear();
+        }
+        for i in 0..self.m {
+            for k in 0..self.m {
+                if self.val[i * self.m + k] != 0.0 {
+                    self.list(i, k);
+                }
+            }
+        }
+    }
+}
+
+/// The dense kernels the sparse ones replace: full-length sweeps of
+/// `B⁻¹` in the same summation order.
+#[cfg(test)]
+impl BasisInverse {
+    fn ftran_dense(&self, a: &[(usize, f64)], w: &mut [f64]) {
+        w.fill(0.0);
+        for &(ri, c) in a {
+            for (i, wi) in w.iter_mut().enumerate() {
+                *wi += self.val[i * self.m + ri] * c;
+            }
+        }
+    }
+
+    fn btran_dense(&self, cb: impl Iterator<Item = f64>, y: &mut [f64]) {
+        y.fill(0.0);
+        for (i, c) in cb.enumerate() {
+            if c != 0.0 {
+                let row = &self.val[i * self.m..(i + 1) * self.m];
+                for (yk, bv) in y.iter_mut().zip(row) {
+                    *yk += c * bv;
+                }
+            }
+        }
+    }
+
+    fn apply_dense(&self, r: &[f64], out: &mut [f64]) {
+        for (i, o) in out.iter_mut().enumerate() {
+            let row = &self.val[i * self.m..(i + 1) * self.m];
+            *o = row.iter().zip(r).map(|(bv, rv)| bv * rv).sum();
+        }
+    }
+
+    fn pivot_dense(&mut self, r: usize, w: &[f64]) {
+        let (mm, binv) = (self.m, &mut self.val);
+        let wr = w[r];
+        for kk in 0..mm {
+            binv[r * mm + kk] /= wr;
+        }
+        for (i, &f) in w.iter().enumerate() {
+            if i != r && f.abs() > 1e-12 {
+                for kk in 0..mm {
+                    binv[i * mm + kk] -= f * binv[r * mm + kk];
+                }
+            }
+        }
+    }
+}
+
 struct Tableau<'a> {
     model: &'a Model,
     /// Sparse columns, indexed by variable: (row, coefficient).
@@ -142,18 +411,20 @@ struct Tableau<'a> {
     in_basis: Vec<bool>,
     /// basis[row] = variable index basic in that row.
     basis: Vec<usize>,
-    /// Dense row-major basis inverse (m × m).
-    binv: Vec<f64>,
+    binv: BasisInverse,
+    kernels: Kernels,
     b: Vec<f64>,
     m: usize,
     n_struct: usize,
     n_art_start: usize,
+    /// art_of_row[row] = the artificial variable of that row, if any.
+    art_of_row: Vec<Option<usize>>,
     iters: u64,
     last_refactor: u64,
 }
 
 impl<'a> Tableau<'a> {
-    fn new(model: &'a Model, lb: &[f64], ub: &[f64]) -> Tableau<'a> {
+    fn new(model: &'a Model, lb: &[f64], ub: &[f64], kernels: Kernels) -> Tableau<'a> {
         let n = model.num_vars();
         let m = model.num_rows();
         let mut cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); n + m];
@@ -181,7 +452,7 @@ impl<'a> Tableau<'a> {
         let mut at_upper = vec![false; n + m];
         let mut in_basis = vec![false; n + m];
         let mut basis = vec![usize::MAX; m];
-        let mut binv = vec![0.0; m * m];
+        let mut binv = BasisInverse::new(m);
 
         // Choose the starting basis row by row: the slack if its bounds
         // admit the residual, otherwise an artificial.
@@ -196,7 +467,7 @@ impl<'a> Tableau<'a> {
                 x[s] = resid.clamp(lo[s], hi[s]);
                 basis[ri] = s;
                 in_basis[s] = true;
-                binv[ri * m + ri] = 1.0;
+                binv.set_diagonal(ri, 1.0);
             } else {
                 // Slack nonbasic at the bound nearest the residual.
                 let sb = resid.clamp(lo[s], hi[s]);
@@ -218,10 +489,12 @@ impl<'a> Tableau<'a> {
             in_basis,
             basis,
             binv,
+            kernels,
             b,
             m,
             n_struct: n,
             n_art_start,
+            art_of_row: vec![None; m],
             iters: 0,
             last_refactor: 0,
         };
@@ -240,7 +513,8 @@ impl<'a> Tableau<'a> {
             t.at_upper.push(false);
             t.in_basis.push(true);
             t.basis[ri] = ai;
-            t.binv[ri * t.m + ri] = 1.0 / sign;
+            t.art_of_row[ri] = Some(ai);
+            t.binv.set_diagonal(ri, 1.0 / sign);
         }
         t
     }
@@ -251,26 +525,20 @@ impl<'a> Tableau<'a> {
 
     /// w = B⁻¹ · column(j)
     fn ftran(&self, j: usize, w: &mut [f64]) {
-        w.fill(0.0);
-        for &(ri, c) in &self.cols[j] {
-            let row = &self.binv[..]; // borrow aid
-            for i in 0..self.m {
-                w[i] += row[i * self.m + ri] * c;
-            }
+        match self.kernels {
+            Kernels::Sparse => self.binv.ftran(&self.cols[j], w),
+            #[cfg(test)]
+            Kernels::Dense => self.binv.ftran_dense(&self.cols[j], w),
         }
     }
 
     /// y = cᵦᵀ · B⁻¹
     fn btran(&self, costs: &[f64], y: &mut [f64]) {
-        y.fill(0.0);
-        for (i, &bi) in self.basis.iter().enumerate() {
-            let cb = costs[bi];
-            if cb != 0.0 {
-                let row = &self.binv[i * self.m..(i + 1) * self.m];
-                for (yk, bv) in y.iter_mut().zip(row) {
-                    *yk += cb * bv;
-                }
-            }
+        let cb = self.basis.iter().map(|&bi| costs[bi]);
+        match self.kernels {
+            Kernels::Sparse => self.binv.btran(cb, y),
+            #[cfg(test)]
+            Kernels::Dense => self.binv.btran_dense(cb, y),
         }
     }
 
@@ -283,7 +551,7 @@ impl<'a> Tableau<'a> {
     }
 
     /// Recompute basic values from scratch: x_B = B⁻¹ (b − N x_N).
-    fn refresh_basics(&mut self) {
+    fn recompute_basics(&mut self) {
         let mut rhs = self.b.clone();
         for j in 0..self.num_vars() {
             if !self.in_basis[j] && self.x[j] != 0.0 {
@@ -292,48 +560,39 @@ impl<'a> Tableau<'a> {
                 }
             }
         }
-        for i in 0..self.m {
-            let row = &self.binv[i * self.m..(i + 1) * self.m];
-            let v: f64 = row.iter().zip(&rhs).map(|(bv, rv)| bv * rv).sum();
-            self.x[self.basis[i]] = v;
+        let mut xb = vec![0.0; self.m];
+        match self.kernels {
+            Kernels::Sparse => self.binv.apply(&rhs, &mut xb),
+            #[cfg(test)]
+            Kernels::Dense => self.binv.apply_dense(&rhs, &mut xb),
         }
-        // Drift probe: the product-form updates of B⁻¹ accumulate error;
-        // when the recomputed point no longer satisfies A x = b to a
-        // scaled tolerance, rebuild B⁻¹ from the basis.
+        for (&k, v) in self.basis.iter().zip(xb) {
+            self.x[k] = v;
+        }
+    }
+
+    /// [`Tableau::recompute_basics`], then a drift probe: the
+    /// product-form updates of B⁻¹ accumulate error; when the recomputed
+    /// point no longer satisfies A x = b to a scaled tolerance, rebuild
+    /// B⁻¹ from the basis and recompute once more.
+    fn refresh_basics(&mut self) {
+        self.recompute_basics();
         let mut resid: f64 = 0.0;
         for (ri, row) in self.model.rows().iter().enumerate() {
             let mut v = self.x[self.n_struct + ri]; // slack
             for (var, c) in &row.coeffs {
                 v += c * self.x[var.index()];
             }
-            for j in self.n_art_start..self.num_vars() {
-                // Artificial columns are singletons; only the matching row
-                // contributes.
-                if let Some(&(r2, c)) = self.cols[j].first() {
-                    if r2 == ri {
-                        v += c * self.x[j];
-                    }
-                }
+            if let Some(a) = self.art_of_row[ri] {
+                // Artificial columns are singletons on their own row.
+                v += self.cols[a][0].1 * self.x[a];
             }
             resid = resid.max((v - self.b[ri]).abs());
         }
         if resid > 1e-5 && self.iters >= self.last_refactor + 512 {
             self.last_refactor = self.iters;
             self.refactorize();
-            // Recompute once more with the fresh inverse.
-            let mut rhs = self.b.clone();
-            for j in 0..self.num_vars() {
-                if !self.in_basis[j] && self.x[j] != 0.0 {
-                    for &(ri, c) in &self.cols[j] {
-                        rhs[ri] -= c * self.x[j];
-                    }
-                }
-            }
-            for i in 0..self.m {
-                let row = &self.binv[i * self.m..(i + 1) * self.m];
-                let v: f64 = row.iter().zip(&rhs).map(|(bv, rv)| bv * rv).sum();
-                self.x[self.basis[i]] = v;
-            }
+            self.recompute_basics();
         }
     }
 
@@ -388,7 +647,7 @@ impl<'a> Tableau<'a> {
                 }
             }
         }
-        self.binv = inv;
+        self.binv.reset(inv);
     }
 
     /// True when the solution point is NaN/Inf contaminated. A variable's
@@ -603,20 +862,10 @@ impl<'a> Tableau<'a> {
                     self.in_basis[k] = false;
                     self.basis[r] = j;
                     self.in_basis[j] = true;
-                    let wr = w[r];
-                    // B⁻¹ update: row r scaled by 1/w_r, eliminated from
-                    // the other rows.
-                    let (mm, binv) = (self.m, &mut self.binv);
-                    for kk in 0..mm {
-                        binv[r * mm + kk] /= wr;
-                    }
-                    for i in 0..mm {
-                        if i != r && w[i].abs() > 1e-12 {
-                            let f = w[i];
-                            for kk in 0..mm {
-                                binv[i * mm + kk] -= f * binv[r * mm + kk];
-                            }
-                        }
+                    match self.kernels {
+                        Kernels::Sparse => self.binv.pivot(r, &w),
+                        #[cfg(test)]
+                        Kernels::Dense => self.binv.pivot_dense(r, &w),
                     }
                 }
             }
@@ -660,7 +909,30 @@ pub fn solve_lp_with_duals(
     iter_limit: u64,
     deadline: Deadline,
     health: &mut SolverHealth,
+    duals: Option<&mut DualInfo>,
+) -> LpOutcome {
+    solve_with(
+        model,
+        lb,
+        ub,
+        iter_limit,
+        deadline,
+        health,
+        duals,
+        Kernels::Sparse,
+    )
+}
+
+#[allow(clippy::too_many_arguments)]
+fn solve_with(
+    model: &Model,
+    lb: &[f64],
+    ub: &[f64],
+    iter_limit: u64,
+    deadline: Deadline,
+    health: &mut SolverHealth,
     mut duals: Option<&mut DualInfo>,
+    kernels: Kernels,
 ) -> LpOutcome {
     debug_assert_eq!(lb.len(), model.num_vars());
     debug_assert_eq!(ub.len(), model.num_vars());
@@ -679,7 +951,7 @@ pub fn solve_lp_with_duals(
         health.lp_aborts += 1;
         return LpOutcome::Numerical { iters: 0 };
     }
-    let mut t = Tableau::new(model, lb, ub);
+    let mut t = Tableau::new(model, lb, ub, kernels);
 
     let abort = |reason: StopReason, iters: u64, health: &mut SolverHealth| {
         health.lp_aborts += 1;
@@ -759,6 +1031,8 @@ pub fn solve_lp_with_duals(
 mod tests {
     use super::*;
     use crate::model::Model;
+    use proptest::prelude::*;
+    use proptest::test_runner::TestRunner;
 
     fn bounds(n: usize) -> (Vec<f64>, Vec<f64>) {
         (vec![0.0; n], vec![1.0; n])
@@ -971,6 +1245,236 @@ mod tests {
                 &mut SolverHealth::default()
             ),
             LpOutcome::Limit { iters: 0 }
+        );
+    }
+
+    /// A random constraint row: (coefficients, sense 0/1/2, slack).
+    type RandomRow = (Vec<(usize, i32)>, u8, i32);
+
+    /// A random 0-1 LP: `Le`, `Ge` and `Eq` rows over up to 120
+    /// variables, a few of them fixed by their bounds. Each row holds at
+    /// a hidden 0-1 point with `slack` to spare, except that one case in
+    /// four tightens its first row past that point, so most cases are
+    /// feasible and some are not.
+    #[derive(Clone, Debug)]
+    struct LpCase {
+        costs: Vec<i32>,
+        hidden: Vec<bool>,
+        rows: Vec<RandomRow>,
+        fixed: Vec<usize>,
+        tighten: bool,
+    }
+
+    fn lp_case() -> impl Strategy<Value = LpCase> {
+        (40usize..120, 20usize..100).prop_flat_map(|(n, m)| {
+            let row = (
+                proptest::collection::vec((0..n, -3i32..4), 2..8),
+                0u8..3,
+                0i32..3,
+            );
+            (
+                proptest::collection::vec(-9i32..10, n),
+                proptest::collection::vec(any::<bool>(), n),
+                proptest::collection::vec(row, m),
+                proptest::collection::vec(0..n, 0..4),
+                0u8..4,
+            )
+                .prop_map(|(costs, hidden, rows, fixed, t)| LpCase {
+                    costs,
+                    hidden,
+                    rows,
+                    fixed,
+                    tighten: t == 0,
+                })
+        })
+    }
+
+    impl LpCase {
+        fn build(&self) -> (Model, Vec<f64>, Vec<f64>) {
+            let mut m = Model::new();
+            let vars: Vec<_> = self
+                .costs
+                .iter()
+                .map(|&c| m.add_var(f64::from(c), "v"))
+                .collect();
+            for (r, (coeffs, sense, slack)) in self.rows.iter().enumerate() {
+                let at_hidden: i32 = coeffs
+                    .iter()
+                    .filter(|&&(i, _)| self.hidden[i])
+                    .map(|&(_, c)| c)
+                    .sum();
+                let slack = if self.tighten && r == 0 { -1 } else { *slack };
+                let cs = coeffs
+                    .iter()
+                    .map(|&(i, c)| (vars[i], f64::from(c)))
+                    .collect();
+                match sense {
+                    0 => m.add_le(cs, f64::from(at_hidden + slack)),
+                    1 => m.add_ge(cs, f64::from(at_hidden - slack)),
+                    _ => m.add_eq(cs, f64::from(at_hidden + slack.min(0))),
+                }
+            }
+            let (mut lb, mut ub) = bounds(vars.len());
+            for &j in &self.fixed {
+                lb[j] = f64::from(u8::from(self.hidden[j]));
+                ub[j] = lb[j];
+            }
+            (m, lb, ub)
+        }
+    }
+
+    /// Cases the bit-identity property runs (and the coverage test
+    /// inspects).
+    const KERNEL_CASES: u32 = 48;
+
+    /// `v`'s bit pattern, reading −0.0 as +0.0: a skipped zero term may
+    /// flip an exact zero's sign, which no decision reads.
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter()
+            .map(|&x| if x == 0.0 { 0 } else { x.to_bits() })
+            .collect()
+    }
+
+    fn solve_case(
+        model: &Model,
+        lb: &[f64],
+        ub: &[f64],
+        kernels: Kernels,
+    ) -> (LpOutcome, DualInfo, SolverHealth) {
+        let mut health = SolverHealth::default();
+        let mut duals = DualInfo::default();
+        let out = solve_with(
+            model,
+            lb,
+            ub,
+            100_000,
+            Deadline::unlimited(),
+            &mut health,
+            Some(&mut duals),
+            kernels,
+        );
+        (out, duals, health)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(KERNEL_CASES))]
+
+        /// The index-driven kernels take the dense kernels' path and
+        /// produce their values: same outcome, iterations, point,
+        /// objective, duals and health counters.
+        #[test]
+        fn sparse_kernels_match_dense_bit_for_bit(case in lp_case()) {
+            let (model, lb, ub) = case.build();
+            let (sparse, sd, sh) = solve_case(&model, &lb, &ub, Kernels::Sparse);
+            let (dense, dd, dh) = solve_case(&model, &lb, &ub, Kernels::Dense);
+            prop_assert_eq!(
+                std::mem::discriminant(&sparse),
+                std::mem::discriminant(&dense),
+                "{:?} vs {:?}", sparse, dense
+            );
+            prop_assert_eq!(sparse.iters(), dense.iters());
+            if let (
+                LpOutcome::Optimal { x: xs, obj: os, .. },
+                LpOutcome::Optimal { x: xd, obj: od, .. },
+            ) = (&sparse, &dense)
+            {
+                prop_assert_eq!(bits(xs), bits(xd));
+                prop_assert_eq!(bits(&[*os]), bits(&[*od]));
+            }
+            prop_assert_eq!(sd.farkas, dd.farkas);
+            prop_assert_eq!(bits(&sd.y), bits(&dd.y));
+            prop_assert_eq!(sh, dh);
+        }
+    }
+
+    /// Every nonzero of `inv` is listed exactly once, in its row's and its
+    /// column's list, and the lists agree with the bitset.
+    fn assert_index_consistent(inv: &BasisInverse) {
+        let m = inv.m;
+        let mut in_rows = vec![0u32; m * m];
+        for (i, cols) in inv.row_nz.iter().enumerate() {
+            for &k in cols {
+                in_rows[i * m + k as usize] += 1;
+            }
+        }
+        let mut in_cols = vec![0u32; m * m];
+        for (k, rows) in inv.col_nz.iter().enumerate() {
+            for &i in rows {
+                in_cols[i as usize * m + k] += 1;
+            }
+        }
+        for e in 0..m * m {
+            let bit = inv.listed[e / 64] >> (e % 64) & 1 == 1;
+            assert_eq!(in_rows[e], u32::from(bit), "entry {e} in row lists");
+            assert_eq!(in_cols[e], u32::from(bit), "entry {e} in column lists");
+            assert!(bit || inv.val[e] == 0.0, "unlisted nonzero at {e}");
+        }
+    }
+
+    /// A refactorization replaces the values wholesale; the rebuilt index
+    /// must describe them, so every kernel still matches its dense twin.
+    #[test]
+    fn refactorize_rebuilds_the_index() {
+        let runner = TestRunner::new(ProptestConfig::with_cases(8));
+        for case in 0..runner.cases() {
+            let (model, lb, ub) = lp_case().generate(&mut runner.rng_for(case)).build();
+            let mut t = Tableau::new(&model, &lb, &ub, Kernels::Sparse);
+            let costs: Vec<f64> = (0..t.num_vars())
+                .map(|j| if j < t.n_art_start { 0.0 } else { 1.0 })
+                .collect();
+            t.optimize(
+                &costs,
+                40,
+                Deadline::unlimited(),
+                &mut SolverHealth::default(),
+            );
+            assert_index_consistent(&t.binv);
+            t.refactorize();
+            assert_index_consistent(&t.binv);
+            let m = t.m;
+            let (mut a, mut b) = (vec![0.0; m], vec![0.0; m]);
+            for j in 0..t.num_vars() {
+                t.binv.ftran(&t.cols[j], &mut a);
+                t.binv.ftran_dense(&t.cols[j], &mut b);
+                assert_eq!(bits(&a), bits(&b), "case {case} ftran {j}");
+            }
+            let cb = || t.basis.iter().map(|&k| costs[k]);
+            t.binv.btran(cb(), &mut a);
+            t.binv.btran_dense(cb(), &mut b);
+            assert_eq!(bits(&a), bits(&b), "case {case} btran");
+            t.binv.apply(&t.b, &mut a);
+            t.binv.apply_dense(&t.b, &mut b);
+            assert_eq!(bits(&a), bits(&b), "case {case} apply");
+        }
+    }
+
+    /// The property's models reach every path the kernels serve: phase 1
+    /// over artificials, bound flips, and the periodic basic-value
+    /// refresh.
+    #[test]
+    fn kernel_property_covers_phase1_flips_and_refresh() {
+        let runner = TestRunner::new(ProptestConfig::with_cases(KERNEL_CASES));
+        let (mut phase1, mut flips, mut refresh) = (false, false, false);
+        for i in 0..runner.cases() {
+            let (model, lb, ub) = lp_case().generate(&mut runner.rng_for(i)).build();
+            let artificials = Tableau::new(&model, &lb, &ub, Kernels::Sparse).num_vars()
+                > model.num_vars() + model.num_rows();
+            let (out, _, health) = solve_case(&model, &lb, &ub, Kernels::Sparse);
+            // Every `optimize` call that ends optimal spends one
+            // iteration finding no entering variable; every other
+            // iteration pivots or flips a bound.
+            let calls = match out {
+                LpOutcome::Optimal { .. } => 1 + u64::from(artificials),
+                LpOutcome::Infeasible { .. } => 1,
+                _ => continue,
+            };
+            phase1 |= artificials;
+            flips |= out.iters() > health.pivots + calls;
+            refresh |= out.iters() >= REFRESH_PERIOD;
+        }
+        assert!(
+            phase1 && flips && refresh,
+            "phase 1 {phase1}, bound flips {flips}, refresh {refresh}"
         );
     }
 }

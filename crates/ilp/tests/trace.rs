@@ -61,6 +61,45 @@ fn per_node_iterations_sum_to_solution_total() {
 }
 
 #[test]
+fn root_node_reuses_the_dive_relaxation() {
+    // The dive's first relaxation is the root box after the root's own
+    // propagation: the root node takes that answer instead of solving the
+    // same LP again, and its iterations are counted once, in the dive.
+    let m = odd_cycle(7);
+    for emit_certificates in [false, true] {
+        let cfg = SolverConfig {
+            emit_certificates,
+            ..SolverConfig::default()
+        };
+        let tracer = Tracer::on();
+        let sol = solve_seeded_traced(&m, &cfg, &[], Deadline::unlimited(), &tracer);
+        let trace = tracer.finish("odd7");
+        let dive_iters = trace.events.iter().find_map(|e| match e {
+            Event::Dive { lp_iters, .. } => Some(*lp_iters),
+            _ => None,
+        });
+        assert!(dive_iters > Some(0), "the dive relaxed the root box");
+        let nodes: Vec<(u64, u64)> = trace
+            .events
+            .iter()
+            .filter_map(|e| match e {
+                Event::Node {
+                    index, lp_iters, ..
+                } => Some((*index, *lp_iters)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(nodes[0], (1, 0), "the root solved no LP of its own");
+        assert!(
+            nodes[1..].iter().all(|&(_, iters)| iters > 0),
+            "every other node relaxes its own box: {nodes:?}"
+        );
+        assert_eq!(node_and_dive_iters(&trace.events), sol.lp_iters);
+        assert_eq!(sol.status, Status::Optimal);
+    }
+}
+
+#[test]
 fn abandoned_node_iterations_are_not_lost() {
     // A tiny per-LP iteration budget forces every node relaxation to be
     // abandoned at the limit. The iterations it burned must still appear

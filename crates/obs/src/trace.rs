@@ -127,7 +127,9 @@ pub enum Event {
     },
     /// One branch-and-bound node was processed. `lp_iters` counts the simplex
     /// iterations spent on this node even when it is pruned or abandoned;
-    /// `depth` is the number of branching decisions from the root.
+    /// it is 0 on the root when the root took the dive's first relaxation
+    /// (the same box), whose iterations the `Dive` event carries. `depth`
+    /// is the number of branching decisions from the root.
     Node {
         index: u64,
         depth: u64,

@@ -104,18 +104,20 @@ impl Frame {
         self.get("id").unwrap_or("?")
     }
 
-    /// Serialize: header line, then the raw payload.
+    /// Serialize: header line, then the raw payload, handed to `w` in one
+    /// `write_all` so a socket sends the frame without waiting for the
+    /// peer to acknowledge the header first.
     pub fn write_to(&self, w: &mut impl Write) -> std::io::Result<()> {
-        let mut line = self.verb.clone();
+        let mut buf = self.verb.clone().into_bytes();
         for (k, v) in &self.fields {
-            line.push(' ');
-            line.push_str(k);
-            line.push('=');
-            line.push_str(v);
+            buf.push(b' ');
+            buf.extend_from_slice(k.as_bytes());
+            buf.push(b'=');
+            buf.extend_from_slice(v.as_bytes());
         }
-        line.push('\n');
-        w.write_all(line.as_bytes())?;
-        w.write_all(&self.payload)?;
+        buf.push(b'\n');
+        buf.extend_from_slice(&self.payload);
+        w.write_all(&buf)?;
         w.flush()
     }
 
@@ -282,6 +284,48 @@ mod tests {
         assert_eq!(back.payload, alloc.payload);
         assert_eq!(back.get("client"), Some("c1"));
         assert_eq!(back.get_u64("bytes"), Some(9));
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        /// Accepts every byte offered and counts the `write` calls.
+        #[derive(Default)]
+        struct CountingWriter {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let payload = b".func\nfn f {\n}\n.end\n";
+        let frames = [
+            (
+                Frame::new("PONG").field("id", "r1"),
+                "PONG id=r1\n".to_string(),
+            ),
+            (
+                Frame::new("OK")
+                    .field("id", "r2")
+                    .with_payload(payload.to_vec()),
+                format!(
+                    "OK bytes={} id=r2\n.func\nfn f {{\n}}\n.end\n",
+                    payload.len()
+                ),
+            ),
+        ];
+        for (f, wire) in &frames {
+            let mut w = CountingWriter::default();
+            f.write_to(&mut w).unwrap();
+            assert_eq!(w.writes, 1, "{} frame took {} writes", f.verb, w.writes);
+            assert_eq!(String::from_utf8_lossy(&w.bytes), *wire);
+        }
     }
 
     #[test]

@@ -476,6 +476,9 @@ fn read_exact_patient(r: &mut impl BufRead, buf: &mut [u8]) -> std::io::Result<b
 fn serve_connection(state: Arc<State>, stream: TcpStream) {
     state.connections.fetch_add(1, Ordering::SeqCst);
     let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
+    // Responses are whole frames written at once: Nagle's algorithm would
+    // only hold a small response back until the client's delayed ACK.
+    let _ = stream.set_nodelay(true);
     let writer: ConnWriter = match stream.try_clone() {
         Ok(s) => Arc::new(Mutex::new(s)),
         Err(_) => {
