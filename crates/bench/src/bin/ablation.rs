@@ -29,7 +29,7 @@ fn main() {
         "config", "funcs", "rows", "vars", "optimal", "overhead", "bytes"
     );
     for (name, machine) in configs {
-        let ip = RobustAllocator::new(&machine).with_solver_config(o.solver());
+        let ip = RobustAllocator::new(&machine).with_solver_config(o.driver.solver.clone());
         let (mut rows, mut vars, mut optimal, mut overhead, mut bytes, mut n) =
             (0usize, 0usize, 0usize, 0i64, 0i64, 0usize);
         for b in [Benchmark::Xlisp, Benchmark::Compress] {

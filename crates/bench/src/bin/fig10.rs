@@ -12,9 +12,9 @@ fn main() {
     let o = Options::from_args();
     eprintln!(
         "generating suites at scale {} (seed {}), solver limit {:?}…",
-        o.scale, o.seed, o.time_limit
+        o.scale, o.seed, o.driver.solver.time_limit
     );
-    let recs = run_all(&o);
+    let (out, benchmarks) = run_all(&o);
 
     // The fit is produced from the `SolveDone` trace events and the
     // trace's solve-phase wall time; the extractor cross-checks every
@@ -22,7 +22,7 @@ fn main() {
     // allocation's solve time is not a measurement).
     println!("constraints,solve_seconds,nodes,lp_iters,benchmark,function");
     let mut pts = Vec::new();
-    for p in fig10_points(&recs) {
+    for p in fig10_points(&out.results, &benchmarks) {
         println!(
             "{},{:.6},{},{},{},{}",
             p.constraints,

@@ -8,21 +8,18 @@
 use regalloc_bench::{fig9_points, loglog_slope, run_all, Options};
 
 fn main() {
-    let o = Options::from_args();
+    let mut o = Options::from_args();
     eprintln!("generating suites at scale {} (seed {})…", o.scale, o.seed);
     // Model construction only depends on the function, not on solving; a
     // tiny solver budget keeps this figure cheap.
-    let o = Options {
-        time_limit: std::time::Duration::from_millis(1),
-        ..o
-    };
-    let recs = run_all(&o);
+    o.set_time_limit(std::time::Duration::from_millis(1));
+    let (out, benchmarks) = run_all(&o);
 
     // The scatter is read from the `ModelBuilt` trace events; the
     // extractor cross-checks each point against the driver's result.
     println!("instructions,variables,constraints,benchmark,function");
     let mut pts = Vec::new();
-    for p in fig9_points(&recs) {
+    for p in fig9_points(&out.results, &benchmarks) {
         println!(
             "{},{},{},{},{}",
             p.insts,

@@ -9,72 +9,53 @@
 //! weaker, so the split shifts downward with function size while keeping
 //! the same structure — see EXPERIMENTS.md.
 
-use regalloc_bench::{run_all_metrics, DegradationSummary, Options};
+use regalloc_bench::{run_all, table2_rows, Options};
 use regalloc_core::WarmStartKind;
-use regalloc_workloads::Benchmark;
 
 fn main() {
     let o = Options::from_args();
+    let time_limit = o.driver.solver.time_limit;
     eprintln!(
         "generating suites at scale {} (seed {}), solver limit {:?} per function, {} worker(s)…",
-        o.scale, o.seed, o.time_limit, o.jobs
+        o.scale, o.seed, time_limit, o.driver.jobs
     );
-    let (recs, stats, metrics) = run_all_metrics(&o);
+    let (out, benchmarks) = run_all(&o);
+    let (results, metrics, stats) = (&out.results, &out.metrics, &out.stats);
 
     println!(
         "Table 2. Number of functions solved with a solver time limit of {:?}.",
-        o.time_limit
+        time_limit
     );
     println!(
         "{:<10} {:>7} {:>10} {:>8} {:>9}",
         "Benchmark", "Total", "Attempted", "Solved", "Optimal"
     );
-    for b in Benchmark::all() {
-        let rows: Vec<_> = recs.iter().filter(|r| r.benchmark == b).collect();
-        let total = rows.len();
-        let attempted = rows.iter().filter(|r| r.attempted).count();
-        let solved = rows.iter().filter(|r| r.solved).count();
-        let optimal = rows.iter().filter(|r| r.optimal).count();
+    let rows = table2_rows(&out, &benchmarks);
+    for (name, row) in &rows {
         println!(
             "{:<10} {:>7} {:>10} {:>8} {:>9}",
-            b.name(),
-            total,
-            attempted,
-            solved,
-            optimal
+            name, row.total, row.attempted, row.solved, row.optimal
         );
     }
-    // The Total row and the percentages below come from the driver's
-    // metrics registry, not from re-counting the per-function records —
-    // the registry is merged in suite order from per-task shards, so this
-    // also exercises that plumbing end to end.
-    let t = metrics.counter("regalloc_functions_total", &[]);
-    let a = metrics.counter("regalloc_functions_attempted_total", &[]);
-    let s = metrics.counter("regalloc_functions_solved_total", &[]);
-    let op = metrics.counter("regalloc_functions_optimal_total", &[]);
-    println!("{:<10} {:>7} {:>10} {:>8} {:>9}", "Total", t, a, s, op);
     println!();
     println!("Degradation ladder (robust pipeline):");
-    for b in Benchmark::all() {
-        let sum =
-            DegradationSummary::collect(recs.iter().filter(|r| r.benchmark == b && r.attempted));
-        println!("  {:<10} {sum}", b.name());
+    for (name, row) in &rows {
+        println!("  {:<10} {}", name, row.ladder);
     }
-    let total = DegradationSummary::from_metrics(&metrics);
-    println!("  {:<10} {total}", "Total");
+    let (_, total) = rows.last().expect("table2_rows ends with the Total row");
     println!(
         "  {} of {} attempted functions degraded below the IP rungs; 0 process aborts",
-        total.degraded(),
-        a
+        total.ladder.degraded(),
+        total.attempted
     );
     let lints = metrics.counter_family_sum("regalloc_lint_findings_total");
-    let linted = recs.iter().filter(|r| r.lints > 0).count();
+    let linted = results.iter().filter(|r| !r.lints.is_empty()).count();
     println!("  lint: {lints} finding(s) across {linted} function(s)");
     println!();
     println!(
         "solved {:.1}% of attempted, optimal {:.1}% of attempted",
-        100.0 * s as f64 / a.max(1) as f64,
-        100.0 * op as f64 / a.max(1) as f64
+        100.0 * total.solved as f64 / total.attempted.max(1) as f64,
+        100.0 * total.optimal as f64 / total.attempted.max(1) as f64
     );
     println!("paper (1024 s, CPLEX 6.0): total 2400, attempted 2363, solved 2354 (98.1%), optimal 2342 (97.6%)");
     println!();
@@ -96,9 +77,11 @@ fn main() {
     );
     // Warm-start accounting over fresh solves only: a cache hit skips
     // the solver entirely, so its recorded kind describes the original
-    // solve, not this run.
+    // solve, not this run. The registry counts warm starts but not their
+    // nodes, so this line counts over the results.
     let fresh = |kind| {
-        recs.iter()
+        results
+            .iter()
             .filter(move |r| r.attempted && !r.cache_hit && r.warm_start == kind)
     };
     let nodes = |kind| fresh(kind).map(|r| r.solver_nodes).sum::<u64>();

@@ -27,69 +27,60 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use regalloc_core::{ReasonCode, Rung, SpillStats, WarmStartKind};
-use regalloc_driver::{run_suite, CacheMode, DriverConfig, DriverStats};
-use regalloc_ilp::SolverConfig;
+use regalloc_core::{ReasonCode, Rung};
+use regalloc_driver::{run_suite, CacheMode, DriverConfig, FunctionResult, SuiteOutcome};
 use regalloc_machine::TargetId;
-use regalloc_obs::{FunctionTrace, Metrics, Phase};
+use regalloc_obs::{Metrics, Phase};
 use regalloc_workloads::{Benchmark, Suite};
 
-/// Command-line options shared by the experiment binaries.
+/// Command-line options shared by the experiment binaries: the driver
+/// configuration every run uses, plus the workload to generate.
 #[derive(Clone, Debug)]
 pub struct Options {
-    /// Target machine the driver allocates for (the paper's tables are
-    /// measured on the default x86 Pentium model).
-    pub target: TargetId,
+    /// The batch driver's configuration (target, solver limits, workers,
+    /// budgets, cache, warm starts, audit).
+    pub driver: DriverConfig,
     /// Fraction of each benchmark's paper function count to generate.
     pub scale: f64,
     /// Workload seed.
     pub seed: u64,
-    /// Per-function solver budget.
-    pub time_limit: Duration,
-    /// Driver worker threads.
-    pub jobs: usize,
-    /// Optional global wall-clock budget for the whole run.
-    pub global_budget: Option<Duration>,
-    /// Solution-cache directory (`None` = in-memory dedup only).
-    pub cache_dir: Option<PathBuf>,
-    /// Seed cache misses with projected cached symbolic solutions.
-    pub warm_starts: bool,
-    /// Audit every optimality claim with the exact-rational certificate
-    /// checker before counting it in the Table 2 "optimal" column.
-    pub audit: bool,
 }
 
 impl Default for Options {
+    /// The harness regime over the driver's defaults: the baseline runs
+    /// beside the IP pipeline (Table 3), accepted code is linted, every
+    /// function is traced (Figs. 9/10 read the trace events, cross-checked
+    /// against the results), and the equivalence runs draw from the
+    /// workload seed. The cache stays in memory, so library callers never
+    /// touch the filesystem unasked.
     fn default() -> Options {
+        let seed = 1998;
         Options {
-            target: TargetId::X86Pentium,
+            driver: DriverConfig {
+                equiv_seed: seed,
+                compare_baseline: true,
+                lint: true,
+                trace: true,
+                ..DriverConfig::default()
+            },
             scale: 0.2,
-            seed: 1998,
-            time_limit: Duration::from_secs(4),
-            jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            global_budget: None,
-            cache_dir: None,
-            warm_starts: true,
-            audit: false,
+            seed,
         }
     }
 }
 
 impl Options {
-    /// Parse `--scale`, `--seed`, `--time-limit`, `--jobs`,
-    /// `--budget-secs`, `--cache-dir` and `--no-cache` from
-    /// `std::env::args`. Unlike [`Options::default`] (memory-only cache,
-    /// so library callers never touch the filesystem unasked), the CLI
-    /// defaults to persisting the solution cache under `results/cache`.
+    /// Parse `--target`, `--scale`, `--seed`, `--time-limit`, `--jobs`,
+    /// `--budget-secs`, `--cache-dir`, `--no-cache`, `--warm-starts` and
+    /// `--audit` from `std::env::args`. Unlike [`Options::default`], the
+    /// CLI persists the solution cache under `results/cache`.
     ///
     /// # Panics
     ///
     /// Panics with a usage message on malformed arguments.
     pub fn from_args() -> Options {
-        let mut o = Options {
-            cache_dir: Some(PathBuf::from("results/cache")),
-            ..Options::default()
-        };
+        let mut o = Options::default();
+        o.driver.cache = CacheMode::Disk(PathBuf::from("results/cache"));
         let args: Vec<String> = std::env::args().skip(1).collect();
         let mut i = 0;
         while i < args.len() {
@@ -100,7 +91,8 @@ impl Options {
             match args[i].as_str() {
                 "--target" => {
                     let t = need(i);
-                    o.target = TargetId::parse(t).unwrap_or_else(|| panic!("unknown target `{t}`"));
+                    o.driver.target =
+                        TargetId::parse(t).unwrap_or_else(|| panic!("unknown target `{t}`"));
                     i += 2;
                 }
                 "--scale" => {
@@ -113,28 +105,28 @@ impl Options {
                 }
                 "--time-limit" => {
                     let secs: f64 = need(i).parse().expect("--time-limit takes seconds");
-                    o.time_limit = Duration::from_secs_f64(secs);
+                    o.set_time_limit(Duration::from_secs_f64(secs));
                     i += 2;
                 }
                 "--jobs" => {
-                    o.jobs = need(i).parse().expect("--jobs takes an integer");
+                    o.driver.jobs = need(i).parse().expect("--jobs takes an integer");
                     i += 2;
                 }
                 "--budget-secs" => {
                     let secs: f64 = need(i).parse().expect("--budget-secs takes seconds");
-                    o.global_budget = Some(Duration::from_secs_f64(secs));
+                    o.driver.global_budget = Some(Duration::from_secs_f64(secs));
                     i += 2;
                 }
                 "--cache-dir" => {
-                    o.cache_dir = Some(PathBuf::from(need(i)));
+                    o.driver.cache = CacheMode::Disk(PathBuf::from(need(i)));
                     i += 2;
                 }
                 "--no-cache" => {
-                    o.cache_dir = None;
+                    o.driver.cache = CacheMode::Memory;
                     i += 1;
                 }
                 "--warm-starts" => {
-                    o.warm_starts = match need(i).as_str() {
+                    o.driver.warm_starts = match need(i).as_str() {
                         "on" => true,
                         "off" => false,
                         v => panic!("--warm-starts takes on|off, got {v}"),
@@ -142,7 +134,7 @@ impl Options {
                     i += 2;
                 }
                 "--audit" => {
-                    o.audit = true;
+                    o.driver.audit = true;
                     i += 1;
                 }
                 other => panic!(
@@ -152,196 +144,40 @@ impl Options {
                 ),
             }
         }
+        o.driver.equiv_seed = o.seed;
         o
     }
 
-    /// The solver configuration the options describe. The driver applies
-    /// this configuration to every function and every IP rung (it is also
-    /// part of the solution-cache key), and each [`Record`] carries a copy
-    /// so downstream analysis knows exactly which limits produced it.
-    pub fn solver(&self) -> SolverConfig {
-        SolverConfig {
-            time_limit: self.time_limit,
-            ..Default::default()
-        }
+    /// Set the solver's per-solve time limit, and with it the
+    /// per-function budget across all ladder rungs: 4× the limit, at
+    /// least 8 s.
+    pub fn set_time_limit(&mut self, limit: Duration) {
+        self.driver.solver.time_limit = limit;
+        self.driver.function_budget = limit.saturating_mul(4).max(Duration::from_secs(8));
     }
-
-    /// The driver configuration the options describe.
-    pub fn driver(&self) -> DriverConfig {
-        DriverConfig {
-            target: self.target,
-            jobs: self.jobs,
-            solver: self.solver(),
-            function_budget: self
-                .time_limit
-                .saturating_mul(4)
-                .max(Duration::from_secs(8)),
-            global_budget: self.global_budget,
-            cache: match &self.cache_dir {
-                Some(d) => CacheMode::Disk(d.clone()),
-                None => CacheMode::Memory,
-            },
-            cache_limits: regalloc_driver::cache::CacheLimits::unlimited(),
-            equiv_runs: 2,
-            equiv_seed: self.seed,
-            compare_baseline: true,
-            lint: true,
-            warm_starts: self.warm_starts,
-            warm_start_distance: 0.25,
-            audit: self.audit,
-            // The experiment harness always records traces: Figs. 9/10
-            // are produced from the trace events, cross-checked against
-            // the result fields.
-            trace: true,
-        }
-    }
-}
-
-/// Per-function measurement record.
-#[derive(Clone, Debug)]
-pub struct Record {
-    /// Source benchmark.
-    pub benchmark: Benchmark,
-    /// Function name.
-    pub name: String,
-    /// Intermediate instructions (Fig. 9 x-axis).
-    pub insts: usize,
-    /// True when the function was handed to the allocators (no 64-bit
-    /// values).
-    pub attempted: bool,
-    /// IP constraints (Fig. 9 y-axis, Fig. 10 x-axis).
-    pub constraints: usize,
-    /// IP decision variables.
-    pub variables: usize,
-    /// Solver produced an allocation (Table 2 "solved").
-    pub solved: bool,
-    /// Solver proved optimality (Table 2 "optimal").
-    pub optimal: bool,
-    /// IP solve time (Fig. 10 y-axis).
-    pub solve_time: Duration,
-    /// IP allocator spill accounting.
-    pub ip: SpillStats,
-    /// Graph-coloring baseline spill accounting.
-    pub gc: SpillStats,
-    /// Encoded size of the IP pipeline's output, in bytes.
-    pub ip_bytes: u64,
-    /// Encoded size of the baseline's output, in bytes.
-    pub gc_bytes: u64,
-    /// Degradation-ladder rung that served the function (`None` when not
-    /// attempted).
-    pub rung: Option<Rung>,
-    /// Demotion reasons the robust pipeline recorded on the way down.
-    pub reasons: Vec<ReasonCode>,
-    /// The solver configuration this function was allocated under (the
-    /// same limits apply to every IP rung the ladder tried).
-    pub solver: SolverConfig,
-    /// Whether the driver's solution cache served this function.
-    pub cache_hit: bool,
-    /// Which incumbent seed the branch-and-bound search pruned against
-    /// (`None`, or an exact/projected cached symbolic solution).
-    pub warm_start: WarmStartKind,
-    /// Branch-and-bound nodes the solve expanded.
-    pub solver_nodes: u64,
-    /// Simplex iterations across every LP relaxation, including pruned
-    /// and abandoned nodes.
-    pub lp_iters: u64,
-    /// `regalloc-lint` quality findings over the accepted allocation.
-    pub lints: usize,
-    /// The structured solve trace (the harness always enables tracing).
-    pub trace: Option<FunctionTrace>,
-}
-
-/// Run both allocators over every generated benchmark.
-///
-/// Since the driver rewire this is [`run_all_stats`] without the
-/// aggregate statistics.
-pub fn run_all(o: &Options) -> Vec<Record> {
-    run_all_stats(o).0
 }
 
 /// Run both allocators over every generated benchmark through the
-/// `regalloc-driver` batch service, returning per-function records plus
-/// the driver's aggregate statistics (wall-clock, speedup, cache
-/// traffic, per-rung counts).
+/// `regalloc-driver` batch service, as one flat suite so the driver's
+/// scheduler and workers see the full mix. Returns the driver's outcome
+/// and, for each of its results, the benchmark the function came from.
 ///
 /// The IP side runs through the fault-tolerant `RobustAllocator`
 /// pipeline (with the graph-coloring baseline injected as its fourth
 /// rung), so a solver failure on any function degrades that function
-/// instead of aborting the whole experiment; each record carries the rung
-/// that served it, any demotion reasons, and the solver configuration it
-/// was allocated under.
-pub fn run_all_stats(o: &Options) -> (Vec<Record>, DriverStats) {
-    let (recs, stats, _) = run_all_metrics(o);
-    (recs, stats)
-}
-
-/// [`run_all_stats`] plus the driver's merged metrics registry — the
-/// authoritative source for suite-level aggregates (the Table 2 report
-/// derives its solved/optimal/degradation counts from it).
-pub fn run_all_metrics(o: &Options) -> (Vec<Record>, DriverStats, Metrics) {
-    // One flat suite across all benchmarks, so the driver's scheduler and
-    // workers see the full mix; map results back by index afterwards.
+/// instead of aborting the whole experiment.
+pub fn run_all(o: &Options) -> (SuiteOutcome, Vec<Benchmark>) {
     let mut funcs = Vec::new();
-    let mut owner = Vec::new();
+    let mut owners = Vec::new();
     for b in Benchmark::all() {
         let suite = Suite::generate_scaled(b, o.seed, o.scale);
-        owner.extend(std::iter::repeat_n(b, suite.functions.len()));
+        owners.extend(std::iter::repeat_n(b, suite.functions.len()));
         funcs.extend(suite.functions);
     }
-    let solver = o.solver();
-    let outcome = run_suite(&funcs, &o.driver());
-
-    let records = outcome
-        .results
-        .into_iter()
-        .zip(owner)
-        .map(|(r, benchmark)| {
-            let base = r.baseline.as_ref();
-            let (gc_stats, gc_bytes) =
-                base.map_or((SpillStats::default(), 0), |c| (c.stats, c.bytes));
-            // Paper pipeline: a function the IP solver does not solve
-            // keeps the compiler's default (graph-coloring) allocation,
-            // so its IP-side overhead equals the baseline's.
-            let solved = r.solved();
-            let optimal = r.solved_optimally();
-            Record {
-                benchmark,
-                name: r.name,
-                insts: r.num_insts,
-                attempted: r.attempted,
-                constraints: r.num_constraints,
-                variables: r.num_vars,
-                solved,
-                optimal,
-                solve_time: r.solve_time,
-                ip: if solved { r.stats } else { gc_stats },
-                gc: gc_stats,
-                ip_bytes: if r.attempted {
-                    if solved {
-                        r.ip_bytes
-                    } else {
-                        gc_bytes
-                    }
-                } else {
-                    0
-                },
-                gc_bytes: if r.attempted { gc_bytes } else { 0 },
-                rung: r.rung,
-                reasons: r.reasons,
-                solver: solver.clone(),
-                cache_hit: r.cache_hit,
-                warm_start: r.warm_start,
-                solver_nodes: r.solver_nodes,
-                lp_iters: r.lp_iters,
-                lints: r.lints.len(),
-                trace: r.trace,
-            }
-        })
-        .collect();
-    (records, outcome.stats, outcome.metrics)
+    (run_suite(&funcs, &o.driver), owners)
 }
 
-/// One Fig. 9 point, read from a record's `ModelBuilt` trace event and
+/// One Fig. 9 point, read from a result's `ModelBuilt` trace event and
 /// cross-checked against the result fields.
 #[derive(Clone, Debug)]
 pub struct Fig9Point {
@@ -356,27 +192,32 @@ pub struct Fig9Point {
 }
 
 /// Extract the Fig. 9 scatter from the trace events of attempted
-/// functions whose model built.
+/// functions whose model built. `benchmarks` names each result's
+/// benchmark, as [`run_all`] returns it.
 ///
 /// # Panics
 ///
-/// Panics if a trace's `ModelBuilt` payload disagrees with the record it
+/// Panics if a trace's `ModelBuilt` payload disagrees with the result it
 /// rides on — the instrumentation would be lying about the experiment.
-pub fn fig9_points(recs: &[Record]) -> Vec<Fig9Point> {
+pub fn fig9_points(results: &[FunctionResult], benchmarks: &[Benchmark]) -> Vec<Fig9Point> {
     let mut pts = Vec::new();
-    for r in recs.iter().filter(|r| r.attempted) {
+    for (r, &benchmark) in results.iter().zip(benchmarks).filter(|(r, _)| r.attempted) {
         let Some((insts, vars, constraints)) = r.trace.as_ref().and_then(|t| t.model_built())
         else {
             continue;
         };
         assert_eq!(
             (insts, vars, constraints),
-            (r.insts as u64, r.variables as u64, r.constraints as u64),
+            (
+                r.num_insts as u64,
+                r.num_vars as u64,
+                r.num_constraints as u64
+            ),
             "{}: ModelBuilt trace event disagrees with the driver result",
             r.name
         );
         pts.push(Fig9Point {
-            benchmark: r.benchmark,
+            benchmark,
             function: r.name.clone(),
             insts,
             vars,
@@ -386,7 +227,7 @@ pub fn fig9_points(recs: &[Record]) -> Vec<Fig9Point> {
     pts
 }
 
-/// One Fig. 10 point, read from a record's `SolveDone` trace event and the
+/// One Fig. 10 point, read from a result's `SolveDone` trace event and the
 /// trace's solve-phase wall time.
 #[derive(Clone, Debug)]
 pub struct Fig10Point {
@@ -405,15 +246,20 @@ pub struct Fig10Point {
 
 /// Extract the Fig. 10 scatter from trace events: optimally-solved,
 /// freshly-solved functions only (cache hits replay a stored allocation,
-/// so their solve time is not a measurement).
+/// so their solve time is not a measurement). `benchmarks` names each
+/// result's benchmark, as [`run_all`] returns it.
 ///
 /// # Panics
 ///
-/// Panics if a trace's `SolveDone` payload disagrees with the record it
+/// Panics if a trace's `SolveDone` payload disagrees with the result it
 /// rides on.
-pub fn fig10_points(recs: &[Record]) -> Vec<Fig10Point> {
+pub fn fig10_points(results: &[FunctionResult], benchmarks: &[Benchmark]) -> Vec<Fig10Point> {
     let mut pts = Vec::new();
-    for r in recs.iter().filter(|r| r.optimal && !r.cache_hit) {
+    for (r, &benchmark) in results
+        .iter()
+        .zip(benchmarks)
+        .filter(|(r, _)| r.solved_optimally() && !r.cache_hit)
+    {
         let Some(t) = &r.trace else { continue };
         let Some((status, nodes, lp_iters)) = t.solve_done() else {
             continue;
@@ -430,9 +276,9 @@ pub fn fig10_points(recs: &[Record]) -> Vec<Fig10Point> {
             r.name
         );
         pts.push(Fig10Point {
-            benchmark: r.benchmark,
+            benchmark,
             function: r.name.clone(),
-            constraints: r.constraints as u64,
+            constraints: r.num_constraints as u64,
             solve_seconds: t.phase_seconds(Phase::Solve),
             nodes,
             lp_iters,
@@ -441,40 +287,69 @@ pub fn fig10_points(recs: &[Record]) -> Vec<Fig10Point> {
     pts
 }
 
-/// Aggregated degradation-ladder accounting for a set of records,
-/// printed under the Table 2/Table 3 reports.
+/// One row of Table 2, read from a metrics registry: the function counts
+/// and the degradation ladder.
+#[derive(Clone, Debug)]
+pub struct Table2Row {
+    /// Functions in the registry's share of the suite.
+    pub total: u64,
+    /// Functions attempted (no 64-bit values).
+    pub attempted: u64,
+    /// Functions an IP rung served.
+    pub solved: u64,
+    /// Functions served with proved optimality.
+    pub optimal: u64,
+    /// Rungs and demotion reasons.
+    pub ladder: DegradationSummary,
+}
+
+impl Table2Row {
+    /// Read a row from `m`.
+    pub fn from_metrics(m: &Metrics) -> Table2Row {
+        Table2Row {
+            total: m.counter("regalloc_functions_total", &[]),
+            attempted: m.counter("regalloc_functions_attempted_total", &[]),
+            solved: m.counter("regalloc_functions_solved_total", &[]),
+            optimal: m.counter("regalloc_functions_optimal_total", &[]),
+            ladder: DegradationSummary::from_metrics(m),
+        }
+    }
+}
+
+/// Table 2's rows: one per benchmark, read from the merge of that
+/// benchmark's per-task metrics shards, then `Total`, read from the
+/// suite's merged registry. `benchmarks` names each result's benchmark,
+/// as [`run_all`] returns it.
+pub fn table2_rows(out: &SuiteOutcome, benchmarks: &[Benchmark]) -> Vec<(&'static str, Table2Row)> {
+    let mut rows: Vec<(&'static str, Table2Row)> = Benchmark::all()
+        .into_iter()
+        .map(|b| {
+            let mut m = Metrics::new();
+            for (r, _) in out.results.iter().zip(benchmarks).filter(|(_, &o)| o == b) {
+                m.merge(&r.metrics);
+            }
+            (b.name(), Table2Row::from_metrics(&m))
+        })
+        .collect();
+    rows.push(("Total", Table2Row::from_metrics(&out.metrics)));
+    rows
+}
+
+/// Degradation-ladder accounting read from a metrics registry, printed
+/// under the Table 2/Table 3 reports.
 #[derive(Clone, Debug, Default)]
 pub struct DegradationSummary {
     /// Functions served per rung, in ladder order.
     pub rungs: Vec<(Rung, usize)>,
-    /// Demotion reasons recorded, with counts.
+    /// Demotion reasons recorded, with counts, in [`ReasonCode::ALL`]
+    /// order.
     pub reasons: Vec<(ReasonCode, usize)>,
 }
 
 impl DegradationSummary {
-    /// Tally rungs and demotion reasons over `recs`.
-    pub fn collect<'r>(recs: impl IntoIterator<Item = &'r Record>) -> DegradationSummary {
-        let mut rungs: Vec<(Rung, usize)> = Rung::ALL.iter().map(|&r| (r, 0)).collect();
-        let mut reasons: Vec<(ReasonCode, usize)> = Vec::new();
-        for r in recs {
-            if let Some(rung) = r.rung {
-                rungs.iter_mut().find(|(x, _)| *x == rung).unwrap().1 += 1;
-            }
-            for &rc in &r.reasons {
-                match reasons.iter_mut().find(|(x, _)| *x == rc) {
-                    Some(e) => e.1 += 1,
-                    None => reasons.push((rc, 1)),
-                }
-            }
-        }
-        DegradationSummary { rungs, reasons }
-    }
-
-    /// Tally rungs and demotion reasons from the driver's metrics
-    /// registry (`regalloc_rung_functions_total{rung=..}` and
-    /// `regalloc_demotions_total{reason=..}`) instead of re-counting
-    /// per-function results. Reasons come out in canonical
-    /// [`ReasonCode::ALL`] order.
+    /// Tally rungs and demotion reasons from a metrics registry
+    /// (`regalloc_rung_functions_total{rung=..}` and
+    /// `regalloc_demotions_total{reason=..}`).
     pub fn from_metrics(m: &Metrics) -> DegradationSummary {
         let by_rung = m.counter_by_label("regalloc_rung_functions_total", "rung");
         let rungs = Rung::ALL
@@ -583,59 +458,64 @@ mod tests {
         assert_eq!(ratio(1, 0), "—");
     }
 
-    #[test]
-    fn tiny_run_produces_records() {
-        let o = Options {
+    /// A run small enough that no solve stops on the clock.
+    fn tiny() -> Options {
+        let mut o = Options {
             scale: 0.004,
             seed: 3,
-            time_limit: Duration::from_millis(100),
             ..Options::default()
         };
-        let (recs, stats) = run_all_stats(&o);
-        assert!(recs.len() >= 6, "at least one function per benchmark");
-        assert!(recs.iter().any(|r| !r.attempted), "64-bit functions remain");
-        for r in recs.iter().filter(|r| r.attempted) {
-            assert!(r.constraints > 0);
+        o.driver.equiv_seed = o.seed;
+        o.set_time_limit(Duration::from_millis(100));
+        o
+    }
+
+    #[test]
+    fn tiny_run_produces_records() {
+        let o = tiny();
+        let (out, benchmarks) = run_all(&o);
+        let results = &out.results;
+        assert_eq!(benchmarks.len(), results.len());
+        assert!(results.len() >= 6, "at least one function per benchmark");
+        assert!(
+            results.iter().any(|r| !r.attempted),
+            "64-bit functions remain"
+        );
+        for r in results.iter().filter(|r| r.attempted) {
+            assert!(r.num_constraints > 0);
             assert!(r.rung.is_some(), "attempted functions report their rung");
-            assert_eq!(
-                r.solver.time_limit,
-                Duration::from_millis(100),
-                "records carry the solver configuration they ran under"
-            );
+            assert!(r.baseline.is_some(), "the harness compares the baseline");
         }
-        let summary = DegradationSummary::collect(recs.iter().filter(|r| r.attempted));
+        let summary = DegradationSummary::from_metrics(&out.metrics);
         let served: usize = summary.rungs.iter().map(|(_, n)| n).sum();
-        let attempted = recs.iter().filter(|r| r.attempted).count();
+        let attempted = results.iter().filter(|r| r.attempted).count();
         assert_eq!(
             served, attempted,
             "every attempted function was served by exactly one rung"
         );
+        let stats = &out.stats;
         assert_eq!(stats.attempted, attempted);
-        assert_eq!(stats.functions, recs.len());
+        assert_eq!(stats.functions, results.len());
         assert_eq!(stats.cache_hits + stats.cache_misses, attempted);
     }
 
     /// The figure extractors and the metrics registry must agree with the
-    /// per-function records and the driver's own totals — the traces are
+    /// per-function results and the driver's own totals — the traces are
     /// an independent account of the same run.
     #[test]
     fn trace_totals_match_driver_totals() {
-        let o = Options {
-            scale: 0.004,
-            seed: 3,
-            time_limit: Duration::from_millis(100),
-            ..Options::default()
-        };
-        let (recs, stats, metrics) = run_all_metrics(&o);
-        let attempted: Vec<_> = recs.iter().filter(|r| r.attempted).collect();
+        let o = tiny();
+        let (out, benchmarks) = run_all(&o);
+        let (results, metrics) = (&out.results, &out.metrics);
+        let attempted: Vec<_> = results.iter().filter(|r| r.attempted).collect();
         assert!(!attempted.is_empty());
         for r in &attempted {
             assert!(r.trace.is_some(), "{}: harness runs always trace", r.name);
         }
 
         // Fig. 9: one point per attempted function whose model built; the
-        // extractor itself asserts each point equals the record fields.
-        let f9 = fig9_points(&recs);
+        // extractor itself asserts each point equals the result fields.
+        let f9 = fig9_points(results, &benchmarks);
         let built = attempted
             .iter()
             .filter(|r| r.trace.as_ref().unwrap().model_built().is_some())
@@ -644,9 +524,12 @@ mod tests {
         assert!(built > 0, "some models must build at this scale");
 
         // Fig. 10: the trace-derived node/iteration totals are the same
-        // numbers the driver reports on the records.
-        let f10 = fig10_points(&recs);
-        let fresh_optimal: Vec<_> = recs.iter().filter(|r| r.optimal && !r.cache_hit).collect();
+        // numbers the driver reports on the results.
+        let f10 = fig10_points(results, &benchmarks);
+        let fresh_optimal: Vec<_> = results
+            .iter()
+            .filter(|r| r.solved_optimally() && !r.cache_hit)
+            .collect();
         assert_eq!(f10.len(), fresh_optimal.len());
         let trace_nodes: u64 = f10.iter().map(|p| p.nodes).sum();
         let trace_iters: u64 = f10.iter().map(|p| p.lp_iters).sum();
@@ -666,10 +549,10 @@ mod tests {
             );
         }
 
-        // Metrics registry vs records and DriverStats.
+        // Metrics registry vs results and DriverStats.
         assert_eq!(
             metrics.counter("regalloc_functions_total", &[]),
-            recs.len() as u64
+            results.len() as u64
         );
         assert_eq!(
             metrics.counter("regalloc_functions_attempted_total", &[]),
@@ -677,28 +560,73 @@ mod tests {
         );
         assert_eq!(
             metrics.counter("regalloc_functions_solved_total", &[]),
-            recs.iter().filter(|r| r.solved).count() as u64
+            results.iter().filter(|r| r.solved()).count() as u64
         );
         assert_eq!(
             metrics.counter("regalloc_functions_optimal_total", &[]),
-            recs.iter().filter(|r| r.optimal).count() as u64
+            results.iter().filter(|r| r.solved_optimally()).count() as u64
         );
         assert_eq!(
             metrics.counter("regalloc_solver_nodes_total", &[]),
-            recs.iter().map(|r| r.solver_nodes).sum::<u64>()
+            results.iter().map(|r| r.solver_nodes).sum::<u64>()
         );
         assert_eq!(
-            stats.attempted as u64,
+            out.stats.attempted as u64,
             metrics.counter("regalloc_functions_attempted_total", &[])
         );
 
-        // The metrics-sourced degradation summary matches the one counted
-        // from the records.
-        let from_recs = DegradationSummary::collect(recs.iter().filter(|r| r.attempted));
-        let from_metrics = DegradationSummary::from_metrics(&metrics);
-        assert_eq!(from_recs.rungs, from_metrics.rungs);
-        let total_reasons: usize = from_recs.reasons.iter().map(|(_, n)| n).sum();
-        let metric_reasons: usize = from_metrics.reasons.iter().map(|(_, n)| n).sum();
-        assert_eq!(total_reasons, metric_reasons);
+        // The registry's degradation summary matches a count over the
+        // results.
+        let summary = DegradationSummary::from_metrics(metrics);
+        for (rung, n) in &summary.rungs {
+            let counted = results.iter().filter(|r| r.rung == Some(*rung)).count();
+            assert_eq!(*n, counted, "rung {rung}");
+        }
+        for rc in ReasonCode::ALL {
+            let counted: usize = results
+                .iter()
+                .map(|r| r.reasons.iter().filter(|&&x| x == rc).count())
+                .sum();
+            let n = summary
+                .reasons
+                .iter()
+                .find(|(x, _)| *x == rc)
+                .map_or(0, |(_, n)| *n);
+            assert_eq!(n, counted, "reason {rc}");
+        }
+
+        // Table 2's per-benchmark rows, each read from its benchmark's
+        // merged shards, sum to its Total row, read from the suite's
+        // registry.
+        let rows = table2_rows(&out, &benchmarks);
+        let (total_name, total) = rows.last().unwrap();
+        assert_eq!(*total_name, "Total");
+        let per_bench = &rows[..rows.len() - 1];
+        assert_eq!(per_bench.len(), Benchmark::all().len());
+        let sum = |f: fn(&Table2Row) -> u64| per_bench.iter().map(|(_, row)| f(row)).sum::<u64>();
+        assert_eq!(sum(|r| r.total), total.total);
+        assert_eq!(sum(|r| r.attempted), total.attempted);
+        assert_eq!(sum(|r| r.solved), total.solved);
+        assert_eq!(sum(|r| r.optimal), total.optimal);
+        for (i, (rung, n)) in total.ladder.rungs.iter().enumerate() {
+            let per: usize = per_bench.iter().map(|(_, row)| row.ladder.rungs[i].1).sum();
+            assert_eq!(per, *n, "rung {rung}");
+        }
+        for (rc, n) in &total.ladder.reasons {
+            let per: usize = per_bench
+                .iter()
+                .flat_map(|(_, row)| &row.ladder.reasons)
+                .filter(|(x, _)| x == rc)
+                .map(|(_, k)| k)
+                .sum();
+            assert_eq!(per, *n, "reason {rc}");
+        }
+        let per_reasons: usize = per_bench
+            .iter()
+            .flat_map(|(_, row)| &row.ladder.reasons)
+            .map(|(_, k)| k)
+            .sum();
+        let total_reasons: usize = total.ladder.reasons.iter().map(|(_, k)| k).sum();
+        assert_eq!(per_reasons, total_reasons);
     }
 }

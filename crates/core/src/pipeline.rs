@@ -41,7 +41,7 @@ use std::time::{Duration, Instant};
 
 use regalloc_ilp::{solve_seeded_traced, Deadline, Incumbent, SolverConfig, SolverHealth, Status};
 use regalloc_ir::{verify_allocated, Cfg, Function, Liveness, LoopInfo, Profile};
-use regalloc_machine::{refuses, Machine};
+use regalloc_machine::{refuses, verify_machine, Machine};
 use regalloc_obs::{Event, Phase, Tracer};
 
 use crate::stats::SpillStats;
@@ -483,9 +483,10 @@ impl<'m, M: Machine + ?Sized> RobustAllocator<'m, M> {
         self
     }
 
-    /// Enable or disable the static dataflow translation validator
-    /// ([`regalloc_lint::validate`]) in candidate acceptance. On by
-    /// default; disabling leaves only structural verification and the
+    /// Enable or disable the static checks in candidate acceptance: the
+    /// machine invariants ([`regalloc_machine::verify_machine`]) and the
+    /// dataflow translation validator ([`regalloc_lint::validate`]). On
+    /// by default; disabling leaves only structural verification and the
     /// (sampled) interpreter-equivalence check.
     pub fn with_static_validation(mut self, on: bool) -> Self {
         self.static_validation = on;
@@ -528,8 +529,10 @@ impl<'m, M: Machine + ?Sized> RobustAllocator<'m, M> {
         self
     }
 
-    /// Validate a candidate: structural verification, then interpreter
-    /// equivalence against the original function.
+    /// Validate a candidate: structural verification, then (with static
+    /// validation on) the machine invariants and the static translation
+    /// validator, then interpreter equivalence against the original
+    /// function.
     fn validate(
         &self,
         orig: &Function,
@@ -551,6 +554,14 @@ impl<'m, M: Machine + ?Sized> RobustAllocator<'m, M> {
         }
         if self.static_validation {
             let _s = tracer.span(Phase::StaticValidate);
+            // Encodability first: width classes, pinned operands, memory
+            // forms and two-address form on this machine.
+            if let Err(errs) = verify_machine(self.machine, cand) {
+                return Err((
+                    ReasonCode::ValidationFailed,
+                    format!("{} machine errors, first: {}", errs.len(), errs[0]),
+                ));
+            }
             let errs = regalloc_lint::validate(self.machine, orig, cand);
             if !errs.is_empty() {
                 return Err((

@@ -71,7 +71,7 @@ use regalloc_core::{ReasonCode, Rung, SpillStats, WarmStartKind};
 use regalloc_ilp::{SolverConfig, SolverHealth};
 use regalloc_ir::Function;
 use regalloc_machine::TargetId;
-use regalloc_obs::{jsonl_events, jsonl_timings, FunctionTrace, Metrics, Phase};
+use regalloc_obs::{jsonl_events, jsonl_timings, FunctionTrace, Histogram, Metrics, Phase};
 
 use cache::CacheLimits;
 use schedule::BudgetGovernor;
@@ -263,6 +263,41 @@ pub struct FunctionResult {
 }
 
 impl FunctionResult {
+    /// The result for `f` before anything is known about it: not
+    /// attempted, no allocation, every count zero. Each allocation path
+    /// states only the fields it knows on top of this.
+    pub(crate) fn new(f: &Function, estimate: usize) -> FunctionResult {
+        FunctionResult {
+            name: f.name().to_string(),
+            attempted: false,
+            func: None,
+            stats: SpillStats::default(),
+            rung: None,
+            reasons: Vec::new(),
+            num_constraints: 0,
+            num_vars: 0,
+            num_insts: f.num_insts(),
+            solver_nodes: 0,
+            lp_iters: 0,
+            solve_time: Duration::ZERO,
+            build_time: Duration::ZERO,
+            validate_time: Duration::ZERO,
+            health: SolverHealth::default(),
+            ip_bytes: 0,
+            cache_hit: false,
+            warm_start: WarmStartKind::None,
+            granted_budget: Duration::ZERO,
+            estimate,
+            task_time: Duration::ZERO,
+            lints: Vec::new(),
+            audit: None,
+            baseline: None,
+            trace: None,
+            metrics: Metrics::default(),
+            error: None,
+        }
+    }
+
     /// Table 2 "solved": an IP rung served the function.
     pub fn solved(&self) -> bool {
         matches!(self.rung, Some(Rung::IpOptimal) | Some(Rung::IpIncumbent))
@@ -274,7 +309,9 @@ impl FunctionResult {
     }
 }
 
-/// Aggregate accounting for a batch run.
+/// Aggregate accounting for a batch run. The function counts are read
+/// from the merged metrics registry ([`SuiteOutcome::metrics`]); the
+/// clocks are measured around the run.
 #[derive(Clone, Debug)]
 pub struct DriverStats {
     /// Functions in the suite.
@@ -359,38 +396,6 @@ pub struct SuiteOutcome {
     pub metrics: Metrics,
 }
 
-pub(crate) fn not_attempted(f: &Function, estimate: usize) -> FunctionResult {
-    FunctionResult {
-        name: f.name().to_string(),
-        attempted: false,
-        func: None,
-        stats: SpillStats::default(),
-        rung: None,
-        reasons: Vec::new(),
-        num_constraints: 0,
-        num_vars: 0,
-        num_insts: f.num_insts(),
-        solver_nodes: 0,
-        lp_iters: 0,
-        solve_time: Duration::ZERO,
-        build_time: Duration::ZERO,
-        validate_time: Duration::ZERO,
-        health: SolverHealth::default(),
-        ip_bytes: 0,
-        cache_hit: false,
-        warm_start: WarmStartKind::None,
-        granted_budget: Duration::ZERO,
-        estimate,
-        task_time: Duration::ZERO,
-        lints: Vec::new(),
-        audit: None,
-        baseline: None,
-        trace: None,
-        metrics: Metrics::default(),
-        error: None,
-    }
-}
-
 /// Render the suite's traces as JSONL: every function's deterministic
 /// event records first (suite order), then every timing record. Consumers
 /// strip the timing section with the single predicate
@@ -413,39 +418,38 @@ pub fn trace_jsonl(out: &SuiteOutcome) -> String {
 
 /// The `--profile` self-profiling report: per-phase wall-time, cache and
 /// warm-start traffic, and the degradation ladder by rung and reason.
-/// Requires [`DriverConfig::trace`] for the phase table (phase times ride
-/// on the traces); the rest comes from the merged metrics registry.
+/// Everything comes from the merged metrics registry; the phase table
+/// needs [`DriverConfig::trace`], because per-phase seconds are only
+/// recorded for traced functions.
 pub fn profile_report(out: &SuiteOutcome) -> String {
     use std::fmt::Write as _;
     let mut s = String::new();
-    let mut totals: Vec<(Phase, f64, usize)> = Phase::ALL.iter().map(|&p| (p, 0.0, 0)).collect();
-    for r in &out.results {
-        if let Some(t) = &r.trace {
-            for (p, d) in &t.phase_times {
-                let slot = totals.iter_mut().find(|(x, _, _)| x == p).unwrap();
-                slot.1 += d.as_secs_f64();
-                slot.2 += 1;
-            }
-        }
-    }
+    // One `regalloc_phase_seconds` observation per function per timed
+    // phase: `_sum` is the phase's seconds, `_count` its functions.
+    let phase_seconds = |p: Phase| {
+        out.metrics
+            .histogram("regalloc_phase_seconds", &[("phase", p.name())])
+    };
     let cpu = out.stats.cpu_time.as_secs_f64();
-    if totals.iter().any(|(_, secs, _)| *secs > 0.0) {
+    let phases: Vec<(Phase, &Histogram)> = Phase::ALL
+        .iter()
+        .filter_map(|&p| phase_seconds(p).map(|h| (p, h)))
+        .collect();
+    if phases.iter().any(|(_, h)| h.sum > 0.0) {
         let _ = writeln!(
             s,
             "{:<16} {:>10} {:>7} {:>6}",
             "phase", "seconds", "share", "fns"
         );
-        for (p, secs, fns) in &totals {
-            if *fns > 0 {
-                let _ = writeln!(
-                    s,
-                    "{:<16} {:>10.3} {:>6.1}% {:>6}",
-                    p.name(),
-                    secs,
-                    100.0 * secs / cpu.max(1e-9),
-                    fns
-                );
-            }
+        for (p, h) in &phases {
+            let _ = writeln!(
+                s,
+                "{:<16} {:>10.3} {:>6.1}% {:>6}",
+                p.name(),
+                h.sum,
+                100.0 * h.sum / cpu.max(1e-9),
+                h.total
+            );
         }
         let _ = writeln!(
             s,
@@ -487,14 +491,7 @@ pub fn profile_report(out: &SuiteOutcome) -> String {
         .metrics
         .counter("regalloc_certificates_rejected_total", &[]);
     if certs_checked > 0 || certs_rejected > 0 {
-        let audit_secs: f64 = out
-            .results
-            .iter()
-            .filter_map(|r| r.trace.as_ref())
-            .flat_map(|t| &t.phase_times)
-            .filter(|(p, _)| *p == Phase::Audit)
-            .map(|(_, d)| d.as_secs_f64())
-            .sum();
+        let audit_secs = phase_seconds(Phase::Audit).map_or(0.0, |h| h.sum);
         let _ = writeln!(
             s,
             "audit: {certs_checked} certificates checked / {certs_rejected} rejected, {audit_secs:.3}s"
@@ -611,40 +608,31 @@ pub fn run_suite(funcs: &[Function], cfg: &DriverConfig) -> SuiteOutcome {
     let (results, pool_stats) = pool::run_indexed(cfg.jobs, funcs, &sched.order, run_one);
     let wall_time = start.elapsed();
 
-    let attempted = results.iter().filter(|r| r.attempted).count();
-    let cache_hits = results.iter().filter(|r| r.cache_hit).count();
-    let cache_misses = attempted - cache_hits;
-    let mut rungs: Vec<(Rung, usize)> = Rung::ALL.iter().map(|&r| (r, 0)).collect();
+    let mut metrics = Metrics::new();
     for r in &results {
-        if let Some(rung) = r.rung {
-            rungs.iter_mut().find(|(x, _)| *x == rung).unwrap().1 += 1;
-        }
+        metrics.merge(&r.metrics);
     }
-    let cpu_time = results.iter().map(|r| r.task_time).sum();
-    let fresh_warm = |kind: WarmStartKind| {
-        results
-            .iter()
-            .filter(|r| !r.cache_hit && r.warm_start == kind)
-            .count()
-    };
+    // Every count below was decided once, per function, by the task's
+    // metrics shard; only the clocks come from elsewhere.
+    let count = |name: &str, labels: &[(&str, &str)]| metrics.counter(name, labels) as usize;
+    let attempted = count("regalloc_functions_attempted_total", &[]);
+    let cache_hits = count("regalloc_cache_events_total", &[("outcome", "hit")]);
+    let warm = |kind: WarmStartKind| count("regalloc_warm_starts_total", &[("kind", kind.name())]);
+    let served = |rung: Rung| count("regalloc_rung_functions_total", &[("rung", rung.name())]);
     let stats = DriverStats {
         functions: funcs.len(),
         attempted,
         jobs: cfg.jobs.max(1),
         wall_time,
-        cpu_time,
+        cpu_time: results.iter().map(|r| r.task_time).sum(),
         cache_hits,
-        cache_misses,
+        cache_misses: attempted - cache_hits,
         cache_rejected: svc.cache().map_or(0, |c| c.rejected()),
-        warm_exact: fresh_warm(WarmStartKind::Exact),
-        warm_projected: fresh_warm(WarmStartKind::Projected),
-        rungs,
+        warm_exact: warm(WarmStartKind::Exact),
+        warm_projected: warm(WarmStartKind::Projected),
+        rungs: Rung::ALL.iter().map(|&r| (r, served(r))).collect(),
         worker_busy: pool_stats.busy.clone(),
     };
-    let mut metrics = Metrics::new();
-    for r in &results {
-        metrics.merge(&r.metrics);
-    }
     // Lookup-level rejections ("rejected" shard events) miss entries the
     // cache itself dropped during parse/realize; the cache's own counter
     // is authoritative, recorded as a suite-level gauge.

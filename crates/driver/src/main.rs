@@ -35,10 +35,10 @@ options:
   --target NAME        target machine: x86-pentium (default), risc24, mcu
   --jobs N             worker threads (default: available parallelism)
   --budget-secs S      global wall-clock budget for the whole run
-  --function-budget S  per-function wall-clock ceiling (default 8)
-  --time-limit S       IP solver time limit per solve (default 2)
+  --function-budget S  per-function wall-clock ceiling (default 16)
+  --time-limit S       IP solver time limit per solve (default 4)
   --node-limit N       branch-and-bound node limit per solve
-  --lp-iter-limit N    total simplex iteration limit per solve
+  --lp-iter-limit N    simplex iteration limit per LP relaxation
   --scale F            workload scale factor (default 0.1)
   --seed N             workload generator seed (default 1998)
   --cache-dir DIR      persistent cache directory (default results/cache)
@@ -333,11 +333,13 @@ fn print_deterministic(out: &SuiteOutcome) {
         );
     }
     println!();
-    let solved = out.results.iter().filter(|r| r.solved()).count();
-    let optimal = out.results.iter().filter(|r| r.solved_optimally()).count();
+    let m = &out.metrics;
     println!(
         "functions {}  attempted {}  ip-solved {}  optimal {}",
-        out.stats.functions, out.stats.attempted, solved, optimal
+        out.stats.functions,
+        out.stats.attempted,
+        m.counter("regalloc_functions_solved_total", &[]),
+        m.counter("regalloc_functions_optimal_total", &[])
     );
     let rungs: Vec<String> = out
         .stats
@@ -353,20 +355,12 @@ fn print_deterministic(out: &SuiteOutcome) {
     );
     // One audit per optimality claim (fresh solve or re-audited hit), so
     // the counts are deterministic across `--jobs` values.
-    let audits: Vec<_> = out
-        .results
-        .iter()
-        .filter_map(|r| r.audit.as_ref())
-        .collect();
-    if !audits.is_empty() {
-        let verified = audits
-            .iter()
-            .filter(|a| a.verdict == regalloc_audit::Verdict::Verified)
-            .count();
+    let checked = m.counter("regalloc_certificates_checked_total", &[]);
+    if checked > 0 {
+        let rejected = m.counter("regalloc_certificates_rejected_total", &[]);
         println!(
-            "certificates: {} verified  {} rejected",
-            verified,
-            audits.len() - verified
+            "certificates: {} verified  {rejected} rejected",
+            checked - rejected
         );
     }
     // One aggregate cost line so warm-on vs warm-off runs can be compared

@@ -108,8 +108,8 @@ fn suite_section(
 ) {
     let st = &out.stats;
     let m = &out.metrics;
-    let solved = out.results.iter().filter(|r| r.solved()).count();
-    let optimal = out.results.iter().filter(|r| r.solved_optimally()).count();
+    let solved = m.counter("regalloc_functions_solved_total", &[]);
+    let optimal = m.counter("regalloc_functions_optimal_total", &[]);
     let max_dive = out
         .results
         .iter()

@@ -30,8 +30,6 @@ use std::time::{Duration, Instant};
 /// Per-run pool accounting, reported through `DriverStats`.
 #[derive(Clone, Debug)]
 pub struct PoolStats {
-    /// Wall-clock time of the whole `run_indexed` call.
-    pub wall: Duration,
     /// Time each worker spent executing tasks (index = worker id).
     pub busy: Vec<Duration>,
     /// Tasks executed per worker (index = worker id). The imbalance
@@ -44,18 +42,6 @@ pub struct PoolStats {
     /// (run start to pop, summed per claiming worker). All tasks are
     /// seeded up front, so this is exact, not an approximation.
     pub queue_wait_per_worker: Vec<Duration>,
-}
-
-impl PoolStats {
-    /// Mean fraction of the wall clock the workers spent busy (1.0 =
-    /// perfectly utilised).
-    pub fn utilization(&self) -> f64 {
-        if self.busy.is_empty() || self.wall.is_zero() {
-            return 0.0;
-        }
-        let total: Duration = self.busy.iter().sum();
-        total.as_secs_f64() / (self.wall.as_secs_f64() * self.busy.len() as f64)
-    }
 }
 
 /// Pop a task: own deque first (front), then steal (back) sweeping the
@@ -166,7 +152,6 @@ where
     (
         results,
         PoolStats {
-            wall: start.elapsed(),
             busy,
             tasks_per_worker,
             steals_per_worker,

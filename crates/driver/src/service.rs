@@ -26,12 +26,12 @@ use std::time::{Duration, Instant};
 use regalloc_coloring::ColoringAllocator;
 use regalloc_core::{DonorSolution, FaultPlan, ReasonCode, RobustAllocator, Rung, WarmStartKind};
 use regalloc_ir::{fingerprint, shape_vector, Function};
-use regalloc_machine::{function_size, refuses, Machine};
+use regalloc_machine::{function_size, refuses, verify_machine, Machine};
 use regalloc_obs::{Event, Metrics, Phase, Tracer, SIZE_BUCKETS, TIME_BUCKETS};
 
 use crate::cache::{cache_key, CacheEntry, DonorEntry, SolutionCache};
 use crate::schedule::BudgetGovernor;
-use crate::{not_attempted, BaselineResult, CacheMode, DriverConfig, FunctionResult};
+use crate::{BaselineResult, CacheMode, DriverConfig, FunctionResult};
 
 /// Where a task's wall-clock grant comes from.
 ///
@@ -179,7 +179,7 @@ impl AllocationService {
         let use_cache = opts.faults.is_none();
         if refuses(machine, f) {
             budget.skip();
-            return (not_attempted(f, estimate), None);
+            return (FunctionResult::new(f, estimate), None);
         }
         let gc = ColoringAllocator::new(machine);
         let baseline = cfg.compare_baseline.then(|| {
@@ -216,12 +216,14 @@ impl AllocationService {
                 let stale_deadline = hit.entry.rung != Rung::IpOptimal
                     && hit.entry.effective_deadline < cfg.function_budget;
                 // The cache's own structural re-verification has passed;
-                // the static translation validator additionally proves the
-                // stored code computes *this* function's values. A failure
+                // the machine invariants prove the stored code encodable
+                // on this target, and the static translation validator
+                // proves it computes *this* function's values. A failure
                 // means the entry was stale or corrupt: evict and resolve.
                 let revalidation_failed = {
                     let _c = tracer.time(Phase::Cache);
-                    !regalloc_lint::validate(machine, f, &hit.func).is_empty()
+                    verify_machine(machine, &hit.func).is_err()
+                        || !regalloc_lint::validate(machine, f, &hit.func).is_empty()
                 };
                 // Under auditing an ip-optimal hit is only as good as its
                 // proof: re-audit the persisted certificate against a
@@ -288,7 +290,6 @@ impl AllocationService {
                     };
                     note_lints(tracer, &lints);
                     let result = FunctionResult {
-                        name: f.name().to_string(),
                         attempted: true,
                         func: Some(hit.func),
                         stats: hit.entry.stats,
@@ -299,22 +300,15 @@ impl AllocationService {
                         num_insts: hit.entry.num_insts,
                         solver_nodes: hit.entry.solver_nodes,
                         lp_iters: hit.entry.lp_iters,
-                        solve_time: Duration::ZERO,
-                        build_time: Duration::ZERO,
-                        validate_time: Duration::ZERO,
-                        health: regalloc_ilp::SolverHealth::default(),
                         ip_bytes: hit.entry.ip_bytes,
                         cache_hit: true,
                         warm_start: hit.entry.warm_start,
                         granted_budget: cfg.function_budget,
-                        estimate,
                         task_time: t0.elapsed(),
                         lints,
                         audit: hit_audit,
                         baseline,
-                        trace: None,
-                        metrics: Metrics::default(),
-                        error: None,
+                        ..FunctionResult::new(f, estimate)
                     };
                     return (result, Some("hit"));
                 }
@@ -402,7 +396,6 @@ impl AllocationService {
                     );
                 }
                 FunctionResult {
-                    name: f.name().to_string(),
                     attempted: true,
                     func: Some(out.func),
                     stats: out.stats,
@@ -418,47 +411,22 @@ impl AllocationService {
                     validate_time: out.report.validate_time,
                     health: out.report.health,
                     ip_bytes,
-                    cache_hit: false,
                     warm_start: out.report.warm_start,
                     granted_budget: granted,
-                    estimate,
                     task_time: t0.elapsed(),
                     lints,
                     audit: out.report.audit.clone(),
                     baseline,
-                    trace: None,
-                    metrics: Metrics::default(),
-                    error: None,
+                    ..FunctionResult::new(f, estimate)
                 }
             }
             Err(e) => FunctionResult {
-                name: f.name().to_string(),
                 attempted: true,
-                func: None,
-                stats: Default::default(),
-                rung: None,
-                reasons: Vec::new(),
-                num_constraints: 0,
-                num_vars: 0,
-                num_insts: f.num_insts(),
-                solver_nodes: 0,
-                lp_iters: 0,
-                solve_time: Duration::ZERO,
-                build_time: Duration::ZERO,
-                validate_time: Duration::ZERO,
-                health: regalloc_ilp::SolverHealth::default(),
-                ip_bytes: 0,
-                cache_hit: false,
-                warm_start: WarmStartKind::None,
                 granted_budget: granted,
-                estimate,
                 task_time: t0.elapsed(),
-                lints: Vec::new(),
-                audit: None,
                 baseline,
-                trace: None,
-                metrics: Metrics::default(),
                 error: Some(e.to_string()),
+                ..FunctionResult::new(f, estimate)
             },
         };
         (outcome, cache_outcome)

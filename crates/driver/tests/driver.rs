@@ -5,9 +5,14 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
-use regalloc_driver::{run_suite, CacheMode, DriverConfig, FunctionResult, SuiteOutcome};
+use regalloc_audit::Verdict;
+use regalloc_core::{Rung, WarmStartKind};
+use regalloc_driver::{
+    profile_report, run_suite, CacheMode, DriverConfig, FunctionResult, SuiteOutcome,
+};
 use regalloc_ilp::SolverConfig;
 use regalloc_ir::Function;
+use regalloc_obs::Phase;
 use regalloc_workloads::{Benchmark, Suite};
 
 /// A seeded ~50-function suite (xlisp has the most functions, so a small
@@ -204,6 +209,135 @@ fn exhausted_global_budget_demotes_but_completes() {
             rung
         );
     }
+}
+
+/// `DriverStats` and the `--profile` report read their counts from the
+/// merged metrics registry; counted directly over the results, the same
+/// run must give the same numbers. The suite runs twice over one memory
+/// cache (every body appears twice, one worker), so both cache hits and
+/// misses occur, and audit is on, so certificates are counted too.
+#[test]
+fn stats_and_profile_report_match_counts_over_results() {
+    let once = Suite::generate_scaled(Benchmark::Xlisp, 42, 0.05).functions;
+    let funcs: Vec<Function> = once.iter().chain(&once).cloned().collect();
+    let cfg = DriverConfig {
+        cache: CacheMode::Memory,
+        audit: true,
+        trace: true,
+        ..fast_config()
+    };
+    let out = run_suite(&funcs, &cfg);
+    let results = &out.results;
+    let st = &out.stats;
+
+    let attempted = results.iter().filter(|r| r.attempted).count();
+    let hits = results.iter().filter(|r| r.cache_hit).count();
+    let misses = attempted - hits;
+    assert!(hits > 0 && misses > 0, "{hits} hits / {misses} misses");
+    let fresh = |kind: WarmStartKind| {
+        results
+            .iter()
+            .filter(|r| !r.cache_hit && r.warm_start == kind)
+            .count()
+    };
+    let (exact, projected) = (fresh(WarmStartKind::Exact), fresh(WarmStartKind::Projected));
+    let rungs: Vec<(Rung, usize)> = Rung::ALL
+        .iter()
+        .map(|&rung| {
+            (
+                rung,
+                results.iter().filter(|r| r.rung == Some(rung)).count(),
+            )
+        })
+        .collect();
+    assert_eq!(st.attempted, attempted);
+    assert_eq!(st.cache_hits, hits);
+    assert_eq!(st.cache_misses, misses);
+    assert_eq!(st.warm_exact, exact);
+    assert_eq!(st.warm_projected, projected);
+    assert_eq!(st.rungs, rungs);
+
+    let report = profile_report(&out);
+    let line = |prefix: &str| {
+        report
+            .lines()
+            .find(|l| l.starts_with(prefix))
+            .unwrap_or_else(|| panic!("no `{prefix}` line in:\n{report}"))
+            .to_string()
+    };
+    assert_eq!(
+        line("cache:"),
+        format!(
+            "cache: {hits} hits / {misses} misses ({:.0}% hit rate), {} rejected",
+            hits as f64 / attempted as f64 * 100.0,
+            st.cache_rejected
+        )
+    );
+    assert_eq!(
+        line("warm starts:"),
+        format!(
+            "warm starts: {exact} exact / {projected} projected / {} cold",
+            misses - exact - projected
+        )
+    );
+    let served: Vec<String> = rungs
+        .iter()
+        .filter(|(_, n)| *n > 0)
+        .map(|(r, n)| format!("{} {n}", r.name()))
+        .collect();
+    assert_eq!(line("rungs:"), format!("rungs: {}", served.join("  ")));
+
+    let audits: Vec<_> = results.iter().filter_map(|r| r.audit.as_ref()).collect();
+    assert!(!audits.is_empty(), "some optimality claims were audited");
+    let rejected = audits
+        .iter()
+        .filter(|a| a.verdict != Verdict::Verified)
+        .count();
+    let traces: Vec<_> = results.iter().filter_map(|r| r.trace.as_ref()).collect();
+    let audit_secs: f64 = traces.iter().map(|t| t.phase_seconds(Phase::Audit)).sum();
+    assert_eq!(
+        line("audit:"),
+        format!(
+            "audit: {} certificates checked / {rejected} rejected, {audit_secs:.3}s",
+            audits.len()
+        )
+    );
+
+    let mut reasons: std::collections::BTreeMap<&str, usize> = Default::default();
+    for rc in results.iter().flat_map(|r| &r.reasons) {
+        *reasons.entry(rc.name()).or_default() += 1;
+    }
+    assert!(!reasons.is_empty(), "some functions were demoted");
+    let want: Vec<String> = std::iter::once("demotions by reason:".to_string())
+        .chain(reasons.iter().map(|(rc, n)| format!("  {rc:<26} {n}")))
+        .collect();
+    let at = report
+        .lines()
+        .position(|l| l == "demotions by reason:")
+        .expect("demotions section");
+    let got: Vec<&str> = report.lines().skip(at).take(want.len()).collect();
+    assert_eq!(got, want);
+
+    // The phase table's `fns` column: functions whose trace timed the
+    // phase.
+    let mut phases = 0;
+    for p in Phase::ALL {
+        let fns = traces
+            .iter()
+            .filter(|t| t.phase_times.iter().any(|(x, _)| *x == p))
+            .count();
+        let row = report
+            .lines()
+            .find(|l| l.split_whitespace().next() == Some(p.name()));
+        match row {
+            Some(l) => {
+                assert_eq!(l.split_whitespace().nth(3), Some(fns.to_string().as_str()));
+                phases += 1;
+            }
+            None => assert_eq!(fns, 0, "phase {} missing from:\n{report}", p.name()),
+        }
+    }
+    assert!(phases > 0, "a phase table in:\n{report}");
 }
 
 /// Unique-enough temp dir under the target directory (no external

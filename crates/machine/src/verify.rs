@@ -98,8 +98,10 @@ pub fn verify_machine<M: Machine + ?Sized>(m: &M, f: &Function) -> Result<(), Ve
                         // class (32-bit on x86/risc24, 16-bit on the MCU).
                         UseRole::AddrBase | UseRole::AddrIndex { .. } => m.addr_width(),
                         // A return's width is the returned register's own
-                        // class (8-bit values come back in AL).
-                        UseRole::RetVal => m.reg_width(r),
+                        // class (8-bit values come back in AL). So is a
+                        // call argument's: `Call`'s width is its return
+                        // value's, and the IR records no argument width.
+                        UseRole::RetVal | UseRole::CallArg => m.reg_width(r),
                         _ => inst.width().unwrap_or(Width::B32),
                     };
                     if !width_ok(m, r, w) {

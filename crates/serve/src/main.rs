@@ -27,7 +27,7 @@ serve — run the allocation daemon until drained (SIGTERM or DRAIN):
   --target NAME        default target for requests without target=
                        (x86-pentium, risc24, mcu; default x86-pentium)
   --jobs N             worker threads (default: available parallelism)
-  --function-budget S  per-function wall-clock ceiling, seconds (default 8)
+  --function-budget S  per-function wall-clock ceiling, seconds (default 16)
   --time-limit S       IP solver wall-clock limit per solve, seconds
   --node-limit N       IP solver branch-and-bound node limit
   --lp-iter-limit N    LP simplex iteration limit

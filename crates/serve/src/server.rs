@@ -424,6 +424,13 @@ fn send_logged(
     count_response: bool,
     extra: &[(&str, String)],
 ) {
+    // Count before writing: a client that reads this frame and then asks
+    // for `STATUS` must see it counted. Drain stays correct because it
+    // also waits for the pool to go idle, which happens only after the
+    // job's write returns.
+    if count_response {
+        state.responded.fetch_add(1, Ordering::SeqCst);
+    }
     // A dead peer is not an error: the response is still "written" for
     // accounting (exactly-one-terminal-response is about the server
     // side; a client that hangs up forfeits delivery).
@@ -434,9 +441,6 @@ fn send_logged(
         &[("verb", verb_label(&frame.verb))],
         1,
     );
-    if count_response {
-        state.responded.fetch_add(1, Ordering::SeqCst);
-    }
 }
 
 fn verb_label(verb: &str) -> &'static str {

@@ -326,6 +326,46 @@ fn status_reports_counters_and_recent_request_timings() {
     drain_and_join(&addr, server);
 }
 
+/// A client that has read its `OK` must find it counted in the very next
+/// `STATUS`. Several daemons run at once, each with one client doing
+/// alloc→`STATUS` rounds, so workers are often preempted right after
+/// writing a response: a counter bumped only after the write would then
+/// lag behind what the client has already read.
+#[test]
+fn status_counts_every_response_the_client_has_read() {
+    const DAEMONS: usize = 4;
+    const ROUNDS: u64 = 150;
+    let func = workload(1).remove(0);
+    std::thread::scope(|s| {
+        for d in 0..DAEMONS {
+            let func = &func;
+            s.spawn(move || {
+                let (addr, server) = start(ServeConfig {
+                    driver: test_driver_cfg(1),
+                    ..ServeConfig::default()
+                });
+                let mut client = Client::connect(&addr, &format!("race{d}")).expect("connect");
+                client.set_timeout(Some(Duration::from_secs(30))).ok();
+                let mut lagging = 0;
+                for round in 1..=ROUNDS {
+                    let resp = client.alloc(func, &AllocOptions::default()).expect("alloc");
+                    assert_eq!(resp.frame.verb, "OK", "{}", resp.message());
+                    let status = client.status().expect("status");
+                    assert_eq!(status.frame.get_u64("accepted"), Some(round));
+                    if status.frame.get_u64("responded") != Some(round) {
+                        lagging += 1;
+                    }
+                }
+                drain_and_join(&addr, server);
+                assert_eq!(
+                    lagging, 0,
+                    "daemon {d}: STATUS lagged the client's own OK in {lagging} of {ROUNDS} rounds"
+                );
+            });
+        }
+    });
+}
+
 #[test]
 fn metrics_endpoint_serves_prometheus_text_on_the_same_port() {
     let (addr, server) = start(ServeConfig {

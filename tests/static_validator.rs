@@ -6,7 +6,9 @@
 //!   accepts is still interpreter-equivalent to the original (soundness);
 //! * the validator never rejects what the clean ladder accepts today
 //!   (no false positives over the seeded workload corpus);
-//! * the driver's lint report is byte-identical across worker counts.
+//! * the driver's lint report is byte-identical across worker counts;
+//! * code the target cannot encode is demoted even when it computes the
+//!   right values.
 
 use std::time::Duration;
 
@@ -14,13 +16,16 @@ use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
+use precise_regalloc::cc::compile_for;
 use precise_regalloc::coloring::ColoringAllocator;
-use precise_regalloc::core::{check, FaultPlan, ReasonCode, RobustAllocator};
+use precise_regalloc::core::{check, FaultPlan, ReasonCode, RobustAllocator, Rung};
 use precise_regalloc::driver::{run_suite, CacheMode, DriverConfig};
 use precise_regalloc::ilp::SolverConfig;
 use precise_regalloc::lint::{lint_allocation, sort_diagnostics, validate, Report};
 use precise_regalloc::workloads::{generate_function, Benchmark, GenConfig, Suite};
 use precise_regalloc::x86::{X86Machine, X86RegFile};
+use regalloc_machine::{verify_machine, TargetId};
+use regalloc_mcu::McuMachine;
 
 fn quick_solver() -> SolverConfig {
     SolverConfig {
@@ -113,6 +118,43 @@ fn no_false_positives_on_clean_pipeline() {
             let _ = lint_allocation(&machine, f, &out.func);
         }
     }
+}
+
+/// The graph-coloring baseline ignores the MCU's accumulator pinning, so
+/// its code for `gcd` sources arithmetic outside the accumulator. With the
+/// IP and warm-start rungs taken down by a build panic, the machine
+/// invariants must demote that code and the ladder must fall through to
+/// spill-everything.
+#[test]
+fn unencodable_coloring_output_is_demoted_on_the_mcu() {
+    let machine = McuMachine::new();
+    let gc = ColoringAllocator::new(&machine);
+    let funcs = compile_for(include_str!("corpus/c/gcd.c"), TargetId::Mcu).expect("compiles");
+    let f = funcs.iter().find(|f| f.name() == "gcd").expect("gcd");
+    let out = RobustAllocator::new(&machine)
+        .with_budget(Duration::from_secs(10))
+        .with_equivalence(2, 7)
+        .with_faults(FaultPlan {
+            panic_in_build: true,
+            ..FaultPlan::none()
+        })
+        .with_baseline(&gc)
+        .allocate(f)
+        .expect("spill-everything always emits code");
+    let coloring = out
+        .report
+        .demotions
+        .iter()
+        .find(|d| d.from == Rung::Coloring)
+        .expect("the coloring rung is demoted");
+    assert_eq!(
+        coloring.reason,
+        ReasonCode::ValidationFailed,
+        "{}",
+        coloring.detail
+    );
+    assert_eq!(out.report.rung, Rung::SpillAll);
+    assert_eq!(verify_machine(&machine, &out.func), Ok(()));
 }
 
 proptest! {
