@@ -547,14 +547,21 @@ impl SolutionCache {
         CachePin { cache: self, key }
     }
 
-    /// Bump `key`'s recency stamp (and record its size).
-    fn touch(&self, key: u64, bytes: u64) {
+    /// Bump `key`'s recency stamp. `size` gives the entry's serialized
+    /// bytes and is only called when the limits need it: a store passes
+    /// `fresh` and always records the new size, while a hit keeps the
+    /// size recorded at store or adoption.
+    fn touch(&self, key: u64, fresh: bool, size: impl FnOnce() -> u64) {
         if self.limits.is_unlimited() {
             return;
         }
         let mut lru = self.lru.lock().unwrap();
         lru.clock += 1;
         let stamp = lru.clock;
+        let bytes = match lru.entries.get(&key) {
+            Some(&(_, bytes)) if !fresh => bytes,
+            _ => size(),
+        };
         lru.entries.insert(key, (stamp, bytes));
     }
 
@@ -643,11 +650,10 @@ impl SolutionCache {
         };
         match entry.realize() {
             Some(func) => {
-                let bytes = entry.serialize().len() as u64;
                 if from_disk {
                     self.mem.lock().unwrap().insert(key, entry.clone());
                 }
-                self.touch(key, bytes);
+                self.touch(key, false, || entry.serialize().len() as u64);
                 Some(CachedAlloc { func, entry })
             }
             None => {
@@ -673,7 +679,7 @@ impl SolutionCache {
             }
         }
         self.mem.lock().unwrap().insert(key, entry);
-        self.touch(key, serialized.len() as u64);
+        self.touch(key, true, || serialized.len() as u64);
         self.enforce_limits();
     }
 

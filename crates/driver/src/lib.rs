@@ -92,10 +92,10 @@ pub enum CacheMode {
 /// Configuration for a batch run.
 #[derive(Clone, Debug)]
 pub struct DriverConfig {
-    /// The target machine every function is allocated for. Resolved to a
-    /// concrete model through `regalloc_core::targets::machine_for`; part
-    /// of the solution-cache key, so one cache directory serves any mix
-    /// of targets without cross-contamination.
+    /// The target machine [`run_suite`] allocates every function for,
+    /// and the daemon's target for requests that name none. Part of the
+    /// solution-cache key, so one cache directory serves any mix of
+    /// targets without cross-contamination.
     pub target: TargetId,
     /// Worker threads (0 is treated as 1).
     pub jobs: usize,
@@ -175,6 +175,81 @@ impl Default for DriverConfig {
             trace: false,
         }
     }
+}
+
+/// Help lines for the flags `regalloc-driver` and `regalloc-serve serve`
+/// share; [`parse_shared_flag`] parses them.
+pub const SHARED_FLAGS_USAGE: &str =
+    "  --target NAME        target machine: x86-pentium (default), risc24, mcu
+  --jobs N             worker threads (default: available parallelism)
+  --function-budget S  per-function wall-clock ceiling, seconds (default 16)
+  --time-limit S       IP solver wall-clock limit per solve, seconds
+                       (default 4)
+  --node-limit N       branch-and-bound node limit per solve
+  --lp-iter-limit N    simplex iteration limit per LP relaxation
+  --warm-starts on|off seed cache misses with the nearest cached
+                       symbolic solution (default on)
+  --cache-dir DIR      persistent solution cache directory
+  --cache-max-entries N  LRU-evict beyond N cached solutions (default
+                       unlimited)
+  --cache-max-bytes N  LRU-evict once serialized entries exceed N bytes
+                       (default unlimited)";
+
+/// Parse `flag` into `cfg` if it is one of the flags listed in
+/// [`SHARED_FLAGS_USAGE`], taking its value from `args`. Returns
+/// `Ok(false)`, consuming nothing, for any other flag: the caller parses
+/// those itself.
+///
+/// # Errors
+///
+/// A missing or malformed value; the message names the flag.
+pub fn parse_shared_flag(
+    cfg: &mut DriverConfig,
+    flag: &str,
+    args: &mut std::slice::Iter<'_, String>,
+) -> Result<bool, String> {
+    fn number<T: std::str::FromStr>(flag: &str, v: String) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        v.parse().map_err(|e| format!("{flag}: {e}"))
+    }
+    let mut value = || {
+        args.next()
+            .cloned()
+            .ok_or_else(|| format!("{flag} needs a value"))
+    };
+    match flag {
+        "--target" => {
+            let name = value()?;
+            cfg.target = TargetId::parse(&name).ok_or_else(|| {
+                let known: Vec<&str> = TargetId::ALL.iter().map(|t| t.name()).collect();
+                format!(
+                    "--target: unknown target `{name}` (registered targets: {})",
+                    known.join(", ")
+                )
+            })?;
+        }
+        "--jobs" => cfg.jobs = number(flag, value()?)?,
+        "--function-budget" => {
+            cfg.function_budget = Duration::from_secs_f64(number(flag, value()?)?)
+        }
+        "--time-limit" => cfg.solver.time_limit = Duration::from_secs_f64(number(flag, value()?)?),
+        "--node-limit" => cfg.solver.node_limit = number(flag, value()?)?,
+        "--lp-iter-limit" => cfg.solver.lp_iter_limit = number(flag, value()?)?,
+        "--warm-starts" => {
+            cfg.warm_starts = match value()?.as_str() {
+                "on" => true,
+                "off" => false,
+                other => return Err(format!("--warm-starts: expected on|off, got `{other}`")),
+            }
+        }
+        "--cache-dir" => cfg.cache = CacheMode::Disk(PathBuf::from(value()?)),
+        "--cache-max-entries" => cfg.cache_limits.max_entries = Some(number(flag, value()?)?),
+        "--cache-max-bytes" => cfg.cache_limits.max_bytes = Some(number(flag, value()?)?),
+        _ => return Ok(false),
+    }
+    Ok(true)
 }
 
 /// The graph-coloring baseline's outcome for one function (present when
@@ -602,7 +677,13 @@ pub fn run_suite(funcs: &[Function], cfg: &DriverConfig) -> SuiteOutcome {
     );
 
     let run_one = |i: usize, f: &Function| -> FunctionResult {
-        svc.allocate_one(f, sched.estimates[i], &governor, &RequestOptions::default())
+        svc.allocate_one(
+            cfg.target,
+            f,
+            sched.estimates[i],
+            &governor,
+            &RequestOptions::default(),
+        )
     };
     let start = Instant::now();
     let (results, pool_stats) = pool::run_indexed(cfg.jobs, funcs, &sched.order, run_one);
@@ -679,5 +760,96 @@ pub fn run_suite(funcs: &[Function], cfg: &DriverConfig) -> SuiteOutcome {
         results,
         stats,
         metrics,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<(DriverConfig, Vec<String>), String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        let mut cfg = DriverConfig::default();
+        let mut rest = Vec::new();
+        let mut it = args.iter();
+        while let Some(a) = it.next() {
+            if !parse_shared_flag(&mut cfg, a, &mut it)? {
+                rest.push(a.clone());
+            }
+        }
+        Ok((cfg, rest))
+    }
+
+    #[test]
+    fn each_shared_flag_sets_its_field() {
+        let (cfg, rest) = parse(&[
+            "--target",
+            "mcu",
+            "--jobs",
+            "3",
+            "--function-budget",
+            "1.5",
+            "--time-limit",
+            "0.25",
+            "--node-limit",
+            "16",
+            "--lp-iter-limit",
+            "2000",
+            "--warm-starts",
+            "off",
+            "--cache-dir",
+            "some/dir",
+            "--cache-max-entries",
+            "2",
+            "--cache-max-bytes",
+            "4096",
+        ])
+        .expect("every value is well formed");
+        assert!(rest.is_empty(), "{rest:?}");
+        assert_eq!(cfg.target, TargetId::Mcu);
+        assert_eq!(cfg.jobs, 3);
+        assert_eq!(cfg.function_budget, Duration::from_millis(1500));
+        assert_eq!(cfg.solver.time_limit, Duration::from_millis(250));
+        assert_eq!(cfg.solver.node_limit, 16);
+        assert_eq!(cfg.solver.lp_iter_limit, 2000);
+        assert!(!cfg.warm_starts);
+        assert_eq!(cfg.cache, CacheMode::Disk(PathBuf::from("some/dir")));
+        assert_eq!(cfg.cache_limits.max_entries, Some(2));
+        assert_eq!(cfg.cache_limits.max_bytes, Some(4096));
+    }
+
+    #[test]
+    fn a_missing_or_malformed_value_names_the_flag() {
+        for flag in [
+            "--target",
+            "--jobs",
+            "--function-budget",
+            "--time-limit",
+            "--node-limit",
+            "--lp-iter-limit",
+            "--warm-starts",
+            "--cache-dir",
+            "--cache-max-entries",
+            "--cache-max-bytes",
+        ] {
+            let err = parse(&[flag]).expect_err(flag);
+            assert_eq!(err, format!("{flag} needs a value"));
+            if flag != "--cache-dir" {
+                let err = parse(&[flag, "bogus"]).expect_err(flag);
+                assert!(err.starts_with(&format!("{flag}: ")), "{err}");
+            }
+        }
+        let err = parse(&["--target", "z80"]).unwrap_err();
+        assert!(
+            err.ends_with("(registered targets: x86-pentium, risc24, mcu)"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn any_other_flag_is_left_to_the_caller() {
+        let (cfg, rest) = parse(&["--addr", "--jobs", "2", "--scale", "xlisp"]).unwrap();
+        assert_eq!(cfg.jobs, 2);
+        assert_eq!(rest, ["--addr", "--scale", "xlisp"]);
     }
 }

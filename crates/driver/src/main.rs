@@ -19,36 +19,27 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use regalloc_driver::{
-    profile_report, run_suite, trace_jsonl, CacheMode, DriverConfig, SuiteOutcome,
+    parse_shared_flag, profile_report, run_suite, trace_jsonl, CacheMode, DriverConfig,
+    SuiteOutcome, SHARED_FLAGS_USAGE,
 };
 use regalloc_ir::Function;
 use regalloc_lint::{code_by_name, Code, Report};
-use regalloc_machine::TargetId;
 use regalloc_workloads::{Benchmark, Suite};
 
-const USAGE: &str = "usage: regalloc-driver [options] [suite...]
+fn usage() -> String {
+    format!(
+        "usage: regalloc-driver [options] [suite...]
 
 suite:        benchmark names (compress eqntott xlisp sc espresso cc1),
               `all`, or paths to textual-IR files; default `compress`
 
 options:
-  --target NAME        target machine: x86-pentium (default), risc24, mcu
-  --jobs N             worker threads (default: available parallelism)
+{SHARED_FLAGS_USAGE}
+  --no-cache           in-memory dedup only, nothing persisted (without
+                       it or --cache-dir, the cache is results/cache)
   --budget-secs S      global wall-clock budget for the whole run
-  --function-budget S  per-function wall-clock ceiling (default 16)
-  --time-limit S       IP solver time limit per solve (default 4)
-  --node-limit N       branch-and-bound node limit per solve
-  --lp-iter-limit N    simplex iteration limit per LP relaxation
   --scale F            workload scale factor (default 0.1)
   --seed N             workload generator seed (default 1998)
-  --cache-dir DIR      persistent cache directory (default results/cache)
-  --no-cache           in-memory dedup only, nothing persisted
-  --cache-max-entries N  LRU-evict beyond N cached solutions (default
-                       unlimited)
-  --cache-max-bytes N  LRU-evict once serialized entries exceed N bytes
-                       (default unlimited)
-  --warm-starts MODE   on|off: seed cache misses with the nearest cached
-                       symbolic solution (default on)
   --warm-distance F    max shape distance for a warm-start donor, 0..1
                        (default 0.25)
   --perturb SEED       deterministically perturb immediates in the loaded
@@ -72,7 +63,9 @@ options:
   --profile            print a self-profiling report (per-phase time,
                        cache/warm-start traffic, degradation ladder)
   --no-timing          suppress the non-deterministic timing section
-  --help               this text";
+  --help               this text"
+    )
+}
 
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum LintFormat {
@@ -121,55 +114,21 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
     cli.cfg.compare_baseline = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        if parse_shared_flag(&mut cli.cfg, a, &mut it)? {
+            continue;
+        }
         let mut value = |flag: &str| {
             it.next()
                 .cloned()
                 .ok_or_else(|| format!("{flag} needs a value"))
         };
         match a.as_str() {
-            "--help" | "-h" => return Err(USAGE.to_string()),
-            "--target" => {
-                let name = value("--target")?;
-                cli.cfg.target = TargetId::parse(&name).ok_or_else(|| {
-                    let known: Vec<&str> = TargetId::ALL.iter().map(|t| t.name()).collect();
-                    format!(
-                        "--target: unknown target `{name}` (registered targets: {})",
-                        known.join(", ")
-                    )
-                })?;
-            }
-            "--jobs" => {
-                cli.cfg.jobs = value("--jobs")?
-                    .parse()
-                    .map_err(|e| format!("--jobs: {e}"))?
-            }
+            "--help" | "-h" => return Err(usage()),
             "--budget-secs" => {
                 let s: f64 = value("--budget-secs")?
                     .parse()
                     .map_err(|e| format!("--budget-secs: {e}"))?;
                 cli.cfg.global_budget = Some(Duration::from_secs_f64(s));
-            }
-            "--function-budget" => {
-                let s: f64 = value("--function-budget")?
-                    .parse()
-                    .map_err(|e| format!("--function-budget: {e}"))?;
-                cli.cfg.function_budget = Duration::from_secs_f64(s);
-            }
-            "--time-limit" => {
-                let s: f64 = value("--time-limit")?
-                    .parse()
-                    .map_err(|e| format!("--time-limit: {e}"))?;
-                cli.cfg.solver.time_limit = Duration::from_secs_f64(s);
-            }
-            "--node-limit" => {
-                cli.cfg.solver.node_limit = value("--node-limit")?
-                    .parse()
-                    .map_err(|e| format!("--node-limit: {e}"))?
-            }
-            "--lp-iter-limit" => {
-                cli.cfg.solver.lp_iter_limit = value("--lp-iter-limit")?
-                    .parse()
-                    .map_err(|e| format!("--lp-iter-limit: {e}"))?
             }
             "--scale" => {
                 cli.scale = value("--scale")?
@@ -181,29 +140,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
                     .parse()
                     .map_err(|e| format!("--seed: {e}"))?
             }
-            "--cache-dir" => cli.cfg.cache = CacheMode::Disk(PathBuf::from(value("--cache-dir")?)),
             "--no-cache" => cli.cfg.cache = CacheMode::Memory,
-            "--cache-max-entries" => {
-                cli.cfg.cache_limits.max_entries = Some(
-                    value("--cache-max-entries")?
-                        .parse()
-                        .map_err(|e| format!("--cache-max-entries: {e}"))?,
-                )
-            }
-            "--cache-max-bytes" => {
-                cli.cfg.cache_limits.max_bytes = Some(
-                    value("--cache-max-bytes")?
-                        .parse()
-                        .map_err(|e| format!("--cache-max-bytes: {e}"))?,
-                )
-            }
-            "--warm-starts" => {
-                cli.cfg.warm_starts = match value("--warm-starts")?.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("--warm-starts: expected on|off, got `{other}`")),
-                }
-            }
             "--warm-distance" => {
                 cli.cfg.warm_start_distance = value("--warm-distance")?
                     .parse()
@@ -258,7 +195,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
             }
             "--no-timing" => cli.timing = false,
             other if other.starts_with('-') => {
-                return Err(format!("unknown option {other}\n\n{USAGE}"))
+                return Err(format!("unknown option {other}\n\n{}", usage()))
             }
             other => cli.suite_args.push(other.to_string()),
         }
@@ -293,7 +230,8 @@ fn load_suite(cli: &Cli) -> Result<Vec<Function>, String> {
             funcs.extend(parse_ir_file(arg)?);
         } else {
             return Err(format!(
-                "`{arg}` is neither a benchmark name nor a file\n\n{USAGE}"
+                "`{arg}` is neither a benchmark name nor a file\n\n{}",
+                usage()
             ));
         }
     }

@@ -21,6 +21,7 @@ use std::fmt::Write as _;
 use regalloc_ilp::SolverConfig;
 use regalloc_ir::Function;
 use regalloc_machine::TargetId;
+use regalloc_obs::push_json_str;
 use regalloc_workloads::{Benchmark, Suite};
 
 use crate::{run_suite, CacheMode, DriverConfig, SuiteOutcome};
@@ -121,8 +122,11 @@ fn suite_section(
     let ip_bytes: u64 = out.results.iter().map(|r| r.ip_bytes).sum();
 
     s.push_str("    {\n");
-    let _ = writeln!(s, "      \"suite\": \"{}\",", escape(name));
-    let _ = writeln!(s, "      \"target\": \"{}\",", escape(target.name()));
+    s.push_str("      \"suite\": ");
+    push_json_str(s, name);
+    s.push_str(",\n      \"target\": ");
+    push_json_str(s, target.name());
+    s.push_str(",\n");
     let _ = writeln!(s, "      \"functions\": {},", st.functions);
     let _ = writeln!(s, "      \"attempted\": {},", st.attempted);
     let _ = writeln!(s, "      \"solved\": {solved},");
@@ -220,10 +224,6 @@ fn fnum(v: f64) -> String {
     } else {
         "null".to_string()
     }
-}
-
-fn escape(raw: &str) -> String {
-    raw.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 #[cfg(test)]

@@ -5,9 +5,11 @@
 //! Extracting this out of `run_suite` is what makes the daemon's
 //! byte-identity guarantee cheap to state: a request served over the
 //! wire runs *exactly* the code a batch run would, down to the cache
-//! lookup ordering and the warm-start donor selection. The two callers
-//! differ only in where the wall-clock grant comes from, which is
-//! abstracted behind [`BudgetSource`]:
+//! lookup ordering and the warm-start donor selection. One service holds
+//! the model of every registered target, so the daemon serves any mix of
+//! targets from one cache and one donor snapshot. The two callers differ
+//! only in where the target and the wall-clock grant come from; the
+//! grant is abstracted behind [`BudgetSource`]:
 //!
 //! * the batch driver passes its [`BudgetGovernor`] (fair share of a
 //!   global budget, shrinking as it drains);
@@ -21,12 +23,13 @@
 //! shared cache** — neither lookup nor store — so injected corruption
 //! cannot poison results served to well-behaved clients.
 
+use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use regalloc_coloring::ColoringAllocator;
 use regalloc_core::{DonorSolution, FaultPlan, ReasonCode, RobustAllocator, Rung, WarmStartKind};
 use regalloc_ir::{fingerprint, shape_vector, Function};
-use regalloc_machine::{function_size, refuses, verify_machine, Machine};
+use regalloc_machine::{function_size, refuses, verify_machine, Machine, TargetId};
 use regalloc_obs::{Event, Metrics, Phase, Tracer, SIZE_BUCKETS, TIME_BUCKETS};
 
 use crate::cache::{cache_key, CacheEntry, DonorEntry, SolutionCache};
@@ -72,33 +75,33 @@ impl BudgetSource for FixedGrant {
 pub struct RequestOptions {
     /// Override [`DriverConfig::lint`] for this request.
     pub lint: Option<bool>,
-    /// Override [`DriverConfig::trace`] for this request.
-    pub trace: Option<bool>,
     /// Inject faults into this request's pipeline (chaos testing). A
     /// faulted request always bypasses the cache.
     pub faults: Option<FaultPlan>,
 }
 
-/// The long-lived allocation service: machine model, solution cache and
-/// frozen donor snapshot, shared by every worker.
+/// The long-lived allocation service: the model of every registered
+/// target, one solution cache and one frozen donor snapshot, shared by
+/// every worker.
 ///
 /// Donors are frozen at construction — exactly the batch driver's
 /// "cold run" semantics — so warm-start selection is independent of
 /// request arrival order and the byte-identity guarantee holds for any
-/// interleaving of clients.
+/// interleaving of clients. The snapshot holds every donor-eligible
+/// entry in the cache, whatever its target.
 pub struct AllocationService {
     cfg: DriverConfig,
-    machine: Box<dyn Machine + Send + Sync>,
+    machines: BTreeMap<TargetId, Box<dyn Machine + Send + Sync>>,
     cache: Option<SolutionCache>,
     donors: Vec<DonorEntry>,
 }
 
 impl AllocationService {
-    /// Build the service from a driver configuration. `cfg.jobs` and
-    /// `cfg.global_budget` are carried but not consulted here — they
-    /// belong to the caller's scheduling layer.
+    /// Build the service from a driver configuration. `cfg.target`,
+    /// `cfg.jobs` and `cfg.global_budget` are carried but not consulted
+    /// here — each call names its target, and the rest belongs to the
+    /// caller's scheduling layer.
     pub fn new(cfg: DriverConfig) -> AllocationService {
-        let machine = regalloc_core::targets::machine_for(cfg.target);
         let cache = match &cfg.cache {
             CacheMode::Off => None,
             CacheMode::Memory => Some(SolutionCache::with_limits(None, cfg.cache_limits)),
@@ -113,26 +116,15 @@ impl AllocationService {
         };
         AllocationService {
             cfg,
-            machine,
+            machines: regalloc_core::targets::all().collect(),
             cache,
             donors,
         }
     }
 
-    /// The service's configuration.
-    pub fn config(&self) -> &DriverConfig {
-        &self.cfg
-    }
-
     /// The solution cache, if one is configured.
     pub fn cache(&self) -> Option<&SolutionCache> {
         self.cache.as_ref()
-    }
-
-    /// The machine model every request is allocated against — resolved
-    /// from [`DriverConfig::target`] through the registry at construction.
-    pub fn machine(&self) -> &(dyn Machine + Send + Sync) {
-        self.machine.as_ref()
     }
 
     /// The analysis-free cost estimate the admission layer sizes
@@ -141,19 +133,22 @@ impl AllocationService {
         regalloc_core::build::estimate_constraints(f)
     }
 
-    /// Allocate one function: the sealed task the batch pool and the
-    /// daemon workers both run. Returns the finished [`FunctionResult`]
-    /// with its trace (when tracing) and metrics shard attached.
+    /// Allocate one function for `target`: the sealed task the batch pool
+    /// and the daemon workers both run. Returns the finished
+    /// [`FunctionResult`] with its trace (when tracing) and metrics shard
+    /// attached.
     pub fn allocate_one(
         &self,
+        target: TargetId,
         f: &Function,
         estimate: usize,
         budget: &dyn BudgetSource,
         opts: &RequestOptions,
     ) -> FunctionResult {
-        let tracing = opts.trace.unwrap_or(self.cfg.trace);
+        let tracing = self.cfg.trace;
         let tracer = if tracing { Tracer::on() } else { Tracer::off() };
-        let (mut r, cache_outcome) = self.allocate_inner(f, estimate, budget, opts, &tracer);
+        let (mut r, cache_outcome) =
+            self.allocate_inner(target, f, estimate, budget, opts, &tracer);
         if tracing {
             r.trace = Some(tracer.finish(&r.name));
         }
@@ -163,6 +158,7 @@ impl AllocationService {
 
     fn allocate_inner(
         &self,
+        target: TargetId,
         f: &Function,
         estimate: usize,
         budget: &dyn BudgetSource,
@@ -171,7 +167,7 @@ impl AllocationService {
     ) -> (FunctionResult, Option<&'static str>) {
         let t0 = Instant::now();
         let cfg = &self.cfg;
-        let machine: &(dyn Machine + Send + Sync) = self.machine.as_ref();
+        let machine: &(dyn Machine + Send + Sync) = self.machines[&target].as_ref();
         let lint_on = opts.lint.unwrap_or(cfg.lint);
         // A faulted request must not read or write shared state: its
         // degraded (or corrupted-then-caught) outcome would otherwise be
@@ -194,7 +190,7 @@ impl AllocationService {
             }
         });
 
-        let key = cache_key(f, cfg.target, &cfg.solver);
+        let key = cache_key(f, target, &cfg.solver);
         let cache = if use_cache { self.cache.as_ref() } else { None };
         let mut cache_outcome = cache.map(|_| "miss");
         if let Some(cache) = cache {
@@ -374,7 +370,7 @@ impl AllocationService {
                     cache.store(
                         key,
                         CacheEntry {
-                            target: cfg.target,
+                            target,
                             rung: out.report.rung,
                             reasons: reasons.clone(),
                             stats: out.stats,
@@ -464,7 +460,7 @@ fn note_lints(tracer: &Tracer, lints: &[regalloc_lint::Diagnostic]) {
     if !tracer.is_on() || lints.is_empty() {
         return;
     }
-    let mut counts: std::collections::BTreeMap<&'static str, u64> = Default::default();
+    let mut counts: BTreeMap<&'static str, u64> = Default::default();
     for d in lints {
         *counts.entry(d.code.slug).or_insert(0) += 1;
     }

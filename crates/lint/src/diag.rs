@@ -320,20 +320,10 @@ impl From<ModelDiagnostic> for Diagnostic {
     }
 }
 
-/// Escape a string for embedding in a JSON string literal.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+/// `s` as a quoted JSON string literal.
+fn json_str(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    regalloc_obs::push_json_str(&mut out, s);
     out
 }
 
@@ -390,17 +380,17 @@ impl Report {
         let mut items = Vec::new();
         for (name, d) in self.iter() {
             items.push(format!(
-                "  {{\"function\": \"{}\", \"code\": \"{}\", \"slug\": \"{}\", \
+                "  {{\"function\": {}, \"code\": \"{}\", \"slug\": \"{}\", \
                  \"severity\": \"{}\", \"block\": {}, \"inst\": {}, \
-                 \"message\": \"{}\", \"note\": \"{}\"}}",
-                json_escape(name),
+                 \"message\": {}, \"note\": {}}}",
+                json_str(name),
                 d.code.id,
                 d.code.slug,
                 d.severity.name(),
                 d.block,
                 d.inst,
-                json_escape(&d.message),
-                json_escape(&d.note)
+                json_str(&d.message),
+                json_str(&d.note)
             ));
         }
         format!("[\n{}\n]\n", items.join(",\n"))
@@ -432,24 +422,22 @@ impl Report {
             let _ = write!(
                 r,
                 "      {{\"ruleId\": \"{}\", \"level\": \"{}\", \
-                 \"message\": {{\"text\": \"{}\"}}, \"locations\": [{{\
-                 \"physicalLocation\": {{\"artifactLocation\": {{\"uri\": \"functions/{}.ir\"}}, \
+                 \"message\": {{\"text\": {}}}, \"locations\": [{{\
+                 \"physicalLocation\": {{\"artifactLocation\": {{\"uri\": {}}}, \
                  \"region\": {{\"startLine\": {}}}}}, \
-                 \"logicalLocations\": [{{\"name\": \"{}\", \
-                 \"fullyQualifiedName\": \"{}:b{}:{}\"}}]}}]}}",
+                 \"logicalLocations\": [{{\"name\": {}, \
+                 \"fullyQualifiedName\": {}}}]}}]}}",
                 d.code.id,
                 d.severity.sarif_level(),
-                json_escape(&if d.note.is_empty() {
+                json_str(&if d.note.is_empty() {
                     d.message.clone()
                 } else {
                     format!("{} ({})", d.message, d.note)
                 }),
-                json_escape(name),
+                json_str(&format!("functions/{name}.ir")),
                 d.block as usize + 1,
-                json_escape(name),
-                json_escape(name),
-                d.block,
-                d.inst
+                json_str(name),
+                json_str(&format!("{name}:b{}:{}", d.block, d.inst)),
             );
             results.push(r);
         }

@@ -23,5 +23,6 @@ pub use metrics::{
     TIME_BUCKETS,
 };
 pub use trace::{
-    jsonl_events, jsonl_timings, Event, FunctionTrace, Phase, SpanGuard, TimeGuard, Tracer,
+    jsonl_events, jsonl_timings, push_json_str, Event, FunctionTrace, Phase, SpanGuard, TimeGuard,
+    Tracer,
 };

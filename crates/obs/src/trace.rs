@@ -398,7 +398,10 @@ impl Drop for TimeGuard<'_> {
     }
 }
 
-fn push_json_str(out: &mut String, s: &str) {
+/// Append `s` to `out` as a quoted JSON string literal. Quotes,
+/// backslashes, `\n`, `\r` and `\t` get their short escapes; every other
+/// control character is written as `\u00XX`.
+pub fn push_json_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {

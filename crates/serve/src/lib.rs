@@ -15,8 +15,8 @@
 //! * [`client`] — a blocking pipelining-capable client;
 //! * [`soak`] — the seeded chaos soak that gates all of it.
 //!
-//! See `DESIGN.md` ("Allocation as a service") for the protocol grammar
-//! and the drain/backpressure semantics.
+//! [`proto`] states the wire grammar; `DESIGN.md` ("Allocation as a
+//! service") covers the drain and backpressure semantics.
 
 pub mod client;
 pub mod proto;

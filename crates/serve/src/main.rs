@@ -15,26 +15,18 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use regalloc_driver::CacheMode;
+use regalloc_driver::{parse_shared_flag, SHARED_FLAGS_USAGE};
 use regalloc_serve::{
     run_soak, scrape_metrics, AllocOptions, Client, ServeConfig, Server, SoakConfig,
 };
 
-const USAGE: &str = "usage: regalloc-serve <serve|client|soak> [options]
+fn usage() -> String {
+    format!(
+        "usage: regalloc-serve <serve|client|soak> [options]
 
 serve — run the allocation daemon until drained (SIGTERM or DRAIN):
   --addr A:P           bind address (default 127.0.0.1:0, prints LISTENING)
-  --target NAME        default target for requests without target=
-                       (x86-pentium, risc24, mcu; default x86-pentium)
-  --jobs N             worker threads (default: available parallelism)
-  --function-budget S  per-function wall-clock ceiling, seconds (default 16)
-  --time-limit S       IP solver wall-clock limit per solve, seconds
-  --node-limit N       IP solver branch-and-bound node limit
-  --lp-iter-limit N    LP simplex iteration limit
-  --warm-starts on|off seed solves from cached donor solutions (default on)
-  --cache-dir DIR      persistent solution cache (default: memory only)
-  --cache-max-entries N  LRU-evict beyond N cached solutions
-  --cache-max-bytes N  LRU-evict once entries exceed N serialized bytes
+{SHARED_FLAGS_USAGE}
   --max-queue N        BUSY above N queued+active requests (default 64)
   --max-estimate N     BUSY above N summed model-constraint estimates
   --max-payload N      per-request payload cap, bytes (default 1 MiB)
@@ -42,6 +34,8 @@ serve — run the allocation daemon until drained (SIGTERM or DRAIN):
   --client-refill R    bucket refill, solver-seconds per second (default 1)
   --drain-grace S      drain deadline before demoting the backlog (default 5)
   --log FILE           JSONL request log
+  Requests without target= get the --target above. Without --cache-dir
+  the daemon caches in memory only.
 
 client — talk to a daemon:
   --addr A:P           daemon address (required)
@@ -60,7 +54,9 @@ soak — seeded chaos soak against an in-process daemon:
   --seed N             master seed (default 1998)
   --functions N        workload size (default 24)
   --checkers N / --flooders N / --chaos N   client mix (default 2/2/2)
-  --jobs N             server worker threads (default 4)";
+  --jobs N             server worker threads (default 4)"
+    )
+}
 
 static SIGTERM_SEEN: AtomicBool = AtomicBool::new(false);
 
@@ -96,64 +92,11 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        if parse_shared_flag(&mut cfg.driver, a, &mut it)? {
+            continue;
+        }
         match a.as_str() {
             "--addr" => cfg.addr = next_val(&mut it, "--addr")?,
-            "--target" => {
-                let name = next_val(&mut it, "--target")?;
-                cfg.driver.target = regalloc_machine::TargetId::parse(&name)
-                    .ok_or_else(|| format!("--target: unknown target `{name}`"))?;
-            }
-            "--jobs" => {
-                cfg.driver.jobs = next_val(&mut it, "--jobs")?
-                    .parse()
-                    .map_err(|e| format!("--jobs: {e}"))?
-            }
-            "--function-budget" => {
-                let s: f64 = next_val(&mut it, "--function-budget")?
-                    .parse()
-                    .map_err(|e| format!("--function-budget: {e}"))?;
-                cfg.driver.function_budget = Duration::from_secs_f64(s);
-            }
-            "--time-limit" => {
-                let s: f64 = next_val(&mut it, "--time-limit")?
-                    .parse()
-                    .map_err(|e| format!("--time-limit: {e}"))?;
-                cfg.driver.solver.time_limit = Duration::from_secs_f64(s);
-            }
-            "--node-limit" => {
-                cfg.driver.solver.node_limit = next_val(&mut it, "--node-limit")?
-                    .parse()
-                    .map_err(|e| format!("--node-limit: {e}"))?
-            }
-            "--lp-iter-limit" => {
-                cfg.driver.solver.lp_iter_limit = next_val(&mut it, "--lp-iter-limit")?
-                    .parse()
-                    .map_err(|e| format!("--lp-iter-limit: {e}"))?
-            }
-            "--warm-starts" => {
-                cfg.driver.warm_starts = match next_val(&mut it, "--warm-starts")?.as_str() {
-                    "on" => true,
-                    "off" => false,
-                    other => return Err(format!("--warm-starts: expected on|off, got `{other}`")),
-                }
-            }
-            "--cache-dir" => {
-                cfg.driver.cache = CacheMode::Disk(PathBuf::from(next_val(&mut it, "--cache-dir")?))
-            }
-            "--cache-max-entries" => {
-                cfg.driver.cache_limits.max_entries = Some(
-                    next_val(&mut it, "--cache-max-entries")?
-                        .parse()
-                        .map_err(|e| format!("--cache-max-entries: {e}"))?,
-                )
-            }
-            "--cache-max-bytes" => {
-                cfg.driver.cache_limits.max_bytes = Some(
-                    next_val(&mut it, "--cache-max-bytes")?
-                        .parse()
-                        .map_err(|e| format!("--cache-max-bytes: {e}"))?,
-                )
-            }
             "--max-queue" => {
                 cfg.max_queue = next_val(&mut it, "--max-queue")?
                     .parse()
@@ -187,7 +130,7 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
                 cfg.drain_grace = Duration::from_secs_f64(s);
             }
             "--log" => cfg.log_path = Some(PathBuf::from(next_val(&mut it, "--log")?)),
-            other => return Err(format!("serve: unknown option {other}\n\n{USAGE}")),
+            other => return Err(format!("serve: unknown option {other}\n\n{}", usage())),
         }
     }
     install_sigterm();
@@ -239,7 +182,7 @@ fn cmd_client(args: &[String]) -> Result<ExitCode, String> {
             "--lint" => opts.lint = true,
             "solve" => action = Some(("solve".into(), Some(next_val(&mut it, "solve")?))),
             "ping" | "status" | "drain" | "metrics" => action = Some((a.clone(), None)),
-            other => return Err(format!("client: unknown argument {other}\n\n{USAGE}")),
+            other => return Err(format!("client: unknown argument {other}\n\n{}", usage())),
         }
     }
     let addr = addr.ok_or("client: --addr is required")?;
@@ -343,7 +286,7 @@ fn cmd_soak(args: &[String]) -> Result<ExitCode, String> {
             "--flooders" => cfg.flooders = parse(next_val(&mut it, "--flooders")?, "--flooders")?,
             "--chaos" => cfg.chaos = parse(next_val(&mut it, "--chaos")?, "--chaos")?,
             "--jobs" => cfg.jobs = parse(next_val(&mut it, "--jobs")?, "--jobs")?,
-            other => return Err(format!("soak: unknown option {other}\n\n{USAGE}")),
+            other => return Err(format!("soak: unknown option {other}\n\n{}", usage())),
         }
     }
     let out = run_soak(&cfg);
@@ -374,8 +317,8 @@ fn main() -> ExitCode {
         Some("serve") => cmd_serve(&args[1..]),
         Some("client") => cmd_client(&args[1..]),
         Some("soak") => cmd_soak(&args[1..]),
-        Some("--help") | Some("-h") | None => Err(USAGE.to_string()),
-        Some(other) => Err(format!("unknown subcommand {other}\n\n{USAGE}")),
+        Some("--help") | Some("-h") | None => Err(usage()),
+        Some(other) => Err(format!("unknown subcommand {other}\n\n{}", usage())),
     };
     match result {
         Ok(code) => code,

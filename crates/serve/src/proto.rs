@@ -8,29 +8,47 @@
 //! clients may pipeline: many requests in flight on one connection,
 //! responses matched by id (responses may arrive out of order).
 //!
-//! ```text
-//! request  := alloc | ping | drain | status
-//! alloc    := "ALLOC id=<tok> client=<tok> bytes=<n>" [" target=<tok>"]
-//!             [" budget_ms=<n>"] [" lint=0|1"] [" fault_seed=<n>"] "\n" payload
-//! ping     := "PING id=<tok>\n"
-//! drain    := "DRAIN id=<tok>" [" grace_ms=<n>"] "\n"
-//! status   := "STATUS id=<tok>\n"
+//! This is the one statement of the grammar, as the server speaks it. A
+//! reader must accept a header's fields in any order; frames are written
+//! with their fields sorted by key, which is the order given here.
 //!
-//! response := ok | err | busy | draining | pong
-//! ok       := "OK id=<tok> bytes=<n> target=<tok> rung=<tok> cache=hit|miss
-//!              budget=full|shrunk|exhausted granted_ms=<n>\n" payload
-//! err      := "ERR id=<tok> code=<tok> bytes=<n>\n" payload
-//! busy     := "BUSY id=<tok> retry_ms=<n>\n"
-//! draining := "DRAINING id=<tok>\n"
-//! pong     := "PONG id=<tok>\n"
+//! ```text
+//! request   := alloc | ping | drain | status
+//! alloc     := "ALLOC bytes=<n> client=<tok> id=<tok>" [" budget_ms=<n>"]
+//!              [" fault_seed=<n>"] [" lint=0|1"] [" target=<tok>"] "\n" payload
+//! ping      := "PING id=<tok>\n"
+//! drain     := "DRAIN id=<tok>\n"
+//! status    := "STATUS id=<tok>\n"
+//!
+//! response  := ok | drained | status_ok | err | busy | draining | pong
+//! ok        := "OK budget=full|shrunk|exhausted bytes=<n> cache=hit|miss
+//!               granted_ms=<n> id=<tok> rung=<tok> target=<tok> want_ms=<n>\n"
+//!               payload
+//! drained   := "OK draining=1 id=<tok>\n"
+//! status_ok := "OK accepted=<n> active=<n> busy=<n> bytes=<n> errors=<n>
+//!               id=<tok> queued=<n> responded=<n> status=1 uptime_ms=<n>\n"
+//!               payload
+//! err       := "ERR bytes=<n> code=parse|target|protocol|panic|alloc
+//!               id=<tok>\n" payload
+//! busy      := "BUSY id=<tok> retry_ms=<n>\n"
+//! draining  := "DRAINING id=<tok>\n"
+//! pong      := "PONG id=<tok>\n"
 //! ```
 //!
-//! `STATUS` is answered with an `OK` frame carrying `status=1` plus the
-//! daemon's live counters (`uptime_ms`, `accepted`, `responded`, `busy`,
-//! `errors`, `queued`, `active`) and a payload of one
-//! `req id=... client=... rung=... cache=... total_ms=... build_ms=...
-//! solve_ms=... validate_ms=...` line per recently completed request
-//! (newest first, bounded ring).
+//! A request without `id` is answered with `id=?`, and an `ALLOC`
+//! without `client` is charged to the tenant `anon`. An absent `target=`
+//! allocates for the daemon's `--target`; an unregistered name is refused
+//! with `code=target`. `want_ms` is the deadline asked for with
+//! `budget_ms` (the daemon's per-function budget when absent, and never
+//! above it); `granted_ms` is what the client's budget bucket granted.
+//! `ERR code=parse|target|protocol` refuses a request before admission;
+//! `code=alloc` and `code=panic` report an admitted request whose
+//! allocation failed.
+//!
+//! `STATUS` carries the daemon's live counters in its header and a
+//! payload of one `req id=... client=... rung=... cache=... total_ms=...
+//! build_ms=... solve_ms=... validate_ms=...` line per recently
+//! completed request (newest first, bounded ring).
 //!
 //! The `OK` payload is sectioned text: the accepted allocation between
 //! `.func` and `.report` (byte-identical to what `regalloc-driver
@@ -51,7 +69,7 @@ pub const ERR_PARSE: &str = "parse";
 pub const ERR_TARGET: &str = "target";
 pub const ERR_PROTOCOL: &str = "protocol";
 pub const ERR_PANIC: &str = "panic";
-pub const ERR_INTERNAL: &str = "internal";
+pub const ERR_ALLOC: &str = "alloc";
 
 /// A parsed header line: verb plus `key=value` fields.
 #[derive(Clone, Debug, PartialEq, Eq)]

@@ -1,5 +1,6 @@
-//! The allocation daemon: a TCP server multiplexing framed allocation
-//! requests onto the driver's [`ServicePool`].
+//! The allocation daemon: a thin TCP front end over the batch driver's
+//! [`AllocationService`], multiplexing framed allocation requests onto
+//! one FIFO [`ServicePool`].
 //!
 //! Robustness model, in the order a request meets it:
 //!
@@ -25,9 +26,11 @@
 //!
 //! The serving path runs [`AllocationService::allocate_one`] — literally
 //! the batch driver's code — so responses are byte-identical to
-//! `regalloc-driver` output for the same input and configuration.
+//! `regalloc-driver` output for the same input and configuration. One
+//! service serves every registered target from one cache, so the cache
+//! limits bound the daemon's whole cache directory.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -41,16 +44,17 @@ use regalloc_driver::pool::ServicePool;
 use regalloc_driver::schedule::ClientBudgets;
 use regalloc_driver::{AllocationService, DriverConfig, FixedGrant, RequestOptions};
 use regalloc_machine::TargetId;
-use regalloc_obs::SharedMetrics;
+use regalloc_obs::{push_json_str, SharedMetrics};
 
-use crate::proto::{ok_payload, Frame, ERR_PANIC, ERR_PARSE, ERR_PROTOCOL, ERR_TARGET};
+use crate::proto::{ok_payload, Frame, ERR_ALLOC, ERR_PANIC, ERR_PARSE, ERR_PROTOCOL, ERR_TARGET};
 
 /// Daemon configuration.
 pub struct ServeConfig {
     /// Bind address (`127.0.0.1:0` picks an ephemeral port).
     pub addr: String,
     /// The allocation pipeline configuration shared by every request;
-    /// `driver.jobs` sizes the worker pool.
+    /// `driver.jobs` sizes the worker pool, and `driver.target` serves
+    /// requests that carry no `target=` field.
     pub driver: DriverConfig,
     /// Admission watermark: maximum queued+active jobs before `BUSY`.
     pub max_queue: usize,
@@ -126,10 +130,9 @@ struct RecentRequest {
 }
 
 struct State {
-    /// One long-lived service per registered target, built eagerly at
-    /// bind so the first `target=mcu` request pays no setup and the donor
-    /// snapshots are frozen at the same instant for every target.
-    svcs: BTreeMap<TargetId, AllocationService>,
+    /// The one long-lived service: every registered target's model, the
+    /// cache and the donor snapshot frozen at bind.
+    svc: AllocationService,
     /// The target served when a request carries no `target=` field (the
     /// daemon's configured driver target).
     default_target: TargetId,
@@ -161,11 +164,6 @@ struct State {
 }
 
 impl State {
-    /// The service for `t` (every registered target has one).
-    fn svc_for(&self, t: TargetId) -> &AllocationService {
-        &self.svcs[&t]
-    }
-
     /// All accepted requests have been answered.
     fn settled(&self) -> bool {
         self.accepted.load(Ordering::SeqCst) == self.responded.load(Ordering::SeqCst)
@@ -178,7 +176,8 @@ impl State {
             .map_or(0, |d| d.as_millis() as u64);
         let mut line = format!("{{\"ts_ms\":{ts}");
         for (k, v) in fields {
-            line.push_str(&format!(",\"{}\":{}", k, json_string(v)));
+            line.push_str(&format!(",\"{k}\":"));
+            push_json_str(&mut line, v);
         }
         line.push_str("}\n");
         let mut f = log.lock().unwrap();
@@ -213,22 +212,6 @@ impl State {
     }
 }
 
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 /// A bound-but-not-yet-serving daemon, so callers can learn the port
 /// before the accept loop starts.
 pub struct Server {
@@ -254,16 +237,7 @@ impl Server {
             )),
         };
         let jobs = cfg.driver.jobs.max(1);
-        let svcs: BTreeMap<TargetId, AllocationService> = TargetId::ALL
-            .into_iter()
-            .map(|t| {
-                let mut dcfg = cfg.driver.clone();
-                dcfg.target = t;
-                (t, AllocationService::new(dcfg))
-            })
-            .collect();
         let state = Arc::new(State {
-            svcs,
             default_target: cfg.driver.target,
             pool: ServicePool::new(jobs),
             budgets: ClientBudgets::new(cfg.client_capacity, cfg.client_refill),
@@ -273,6 +247,7 @@ impl Server {
             cfg_max_payload: cfg.max_payload,
             drain_grace: cfg.drain_grace,
             function_budget: cfg.driver.function_budget,
+            svc: AllocationService::new(cfg.driver),
             draining: AtomicBool::new(false),
             zero_grants: AtomicBool::new(false),
             accepted: AtomicU64::new(0),
@@ -443,6 +418,25 @@ fn send_logged(
     );
 }
 
+/// Answer a request refused before admission: count the error and send
+/// an `ERR` frame carrying `code` and `message`. Nothing was admitted, so
+/// no response is counted.
+fn refuse(
+    state: &State,
+    w: &ConnWriter,
+    id: &str,
+    client: &str,
+    code: &str,
+    message: impl Into<Vec<u8>>,
+) {
+    state.errors.fetch_add(1, Ordering::SeqCst);
+    let resp = Frame::new("ERR")
+        .field("id", id)
+        .field("code", code)
+        .with_payload(message.into());
+    send(state, w, &resp, client, false);
+}
+
 fn verb_label(verb: &str) -> &'static str {
     match verb {
         "OK" => "ok",
@@ -521,12 +515,7 @@ fn serve_connection(state: Arc<State>, stream: TcpStream) {
         let frame = match Frame::parse_header(trimmed) {
             Ok(f) => f,
             Err(e) => {
-                let resp = Frame::new("ERR")
-                    .field("id", "?")
-                    .field("code", ERR_PROTOCOL)
-                    .with_payload(e.into_bytes());
-                state.errors.fetch_add(1, Ordering::SeqCst);
-                send(&state, &writer, &resp, "?", false);
+                refuse(&state, &writer, "?", "?", ERR_PROTOCOL, e);
                 break; // framing is lost; close the connection
             }
         };
@@ -539,23 +528,16 @@ fn serve_connection(state: Arc<State>, stream: TcpStream) {
                     // Reject before allocating: a hostile `bytes=` cannot
                     // OOM the server. The payload boundary is unknown now,
                     // so the connection closes after the error.
-                    let resp = Frame::new("ERR")
-                        .field("id", frame.id())
-                        .field("code", ERR_PROTOCOL)
-                        .with_payload(
-                            format!(
-                                "bad or oversized payload length (cap {} bytes)",
-                                state.cfg_max_payload
-                            )
-                            .into_bytes(),
-                        );
-                    state.errors.fetch_add(1, Ordering::SeqCst);
-                    send(
+                    refuse(
                         &state,
                         &writer,
-                        &resp,
+                        frame.id(),
                         frame.get("client").unwrap_or("?"),
-                        false,
+                        ERR_PROTOCOL,
+                        format!(
+                            "bad or oversized payload length (cap {} bytes)",
+                            state.cfg_max_payload
+                        ),
                     );
                     break;
                 }
@@ -687,20 +669,14 @@ fn handle_frame(
             );
         }
         "ALLOC" => handle_alloc(state, writer, frame, outstanding),
-        other => {
-            let resp = Frame::new("ERR")
-                .field("id", frame.id())
-                .field("code", ERR_PROTOCOL)
-                .with_payload(format!("unknown verb `{other}`").into_bytes());
-            state.errors.fetch_add(1, Ordering::SeqCst);
-            send(
-                state,
-                writer,
-                &resp,
-                frame.get("client").unwrap_or("?"),
-                false,
-            );
-        }
+        other => refuse(
+            state,
+            writer,
+            frame.id(),
+            frame.get("client").unwrap_or("?"),
+            ERR_PROTOCOL,
+            format!("unknown verb `{other}`"),
+        ),
     }
 }
 
@@ -723,46 +699,25 @@ fn handle_alloc(
     }
     // Parse before admission: a garbage payload must not consume queue
     // space or client budget.
+    let err = |code: &str, message: String| refuse(state, writer, &id, &client, code, message);
     let text = match std::str::from_utf8(&frame.payload) {
         Ok(t) => t,
-        Err(e) => {
-            state.errors.fetch_add(1, Ordering::SeqCst);
-            let resp = Frame::new("ERR")
-                .field("id", &id)
-                .field("code", ERR_PARSE)
-                .with_payload(e.to_string().into_bytes());
-            send(state, writer, &resp, &client, false);
-            return;
-        }
+        Err(e) => return err(ERR_PARSE, e.to_string()),
     };
-    let funcs = match regalloc_driver::parse_functions(&id, text) {
+    let mut funcs = match regalloc_driver::parse_functions(&id, text) {
         Ok(f) => f,
-        Err(e) => {
-            state.errors.fetch_add(1, Ordering::SeqCst);
-            let resp = Frame::new("ERR")
-                .field("id", &id)
-                .field("code", ERR_PARSE)
-                .with_payload(e.into_bytes());
-            send(state, writer, &resp, &client, false);
-            return;
-        }
+        Err(e) => return err(ERR_PARSE, e),
     };
     if funcs.len() != 1 {
-        state.errors.fetch_add(1, Ordering::SeqCst);
-        let resp = Frame::new("ERR")
-            .field("id", &id)
-            .field("code", ERR_PARSE)
-            .with_payload(
-                format!(
-                    "expected exactly 1 function per request, got {}",
-                    funcs.len()
-                )
-                .into_bytes(),
-            );
-        send(state, writer, &resp, &client, false);
-        return;
+        return err(
+            ERR_PARSE,
+            format!(
+                "expected exactly 1 function per request, got {}",
+                funcs.len()
+            ),
+        );
     }
-    let func = funcs.into_iter().next().unwrap();
+    let func = funcs.remove(0);
     // Target selection: an absent field serves the daemon's default; an
     // unregistered name is the client's error, refused before admission.
     let target = match frame.get("target") {
@@ -770,24 +725,18 @@ fn handle_alloc(
         Some(name) => match TargetId::parse(name) {
             Some(t) => t,
             None => {
-                state.errors.fetch_add(1, Ordering::SeqCst);
                 let known: Vec<&str> = TargetId::ALL.iter().map(|t| t.name()).collect();
-                let resp = Frame::new("ERR")
-                    .field("id", &id)
-                    .field("code", ERR_TARGET)
-                    .with_payload(
-                        format!(
-                            "unknown target `{name}` (registered targets: {})",
-                            known.join(", ")
-                        )
-                        .into_bytes(),
-                    );
-                send(state, writer, &resp, &client, false);
-                return;
+                return err(
+                    ERR_TARGET,
+                    format!(
+                        "unknown target `{name}` (registered targets: {})",
+                        known.join(", ")
+                    ),
+                );
             }
         },
     };
-    let estimate = state.svc_for(target).estimate(&func);
+    let estimate = state.svc.estimate(&func);
 
     // Admission control: shed load with an explicit BUSY before anything
     // is queued, so memory stays bounded by the watermarks.
@@ -823,7 +772,6 @@ fn handle_alloc(
 
     let opts = RequestOptions {
         lint: frame.get("lint").map(|v| v == "1"),
-        trace: None,
         faults: frame.get_u64("fault_seed").map(FaultPlan::seeded),
     };
 
@@ -882,8 +830,8 @@ fn run_alloc_job(
     };
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         state
-            .svc_for(target)
-            .allocate_one(func, estimate, &FixedGrant(granted), opts)
+            .svc
+            .allocate_one(target, func, estimate, &FixedGrant(granted), opts)
     }));
     state
         .budgets
@@ -924,7 +872,7 @@ fn run_alloc_job(
                     state.errors.fetch_add(1, Ordering::SeqCst);
                     Frame::new("ERR")
                         .field("id", id)
-                        .field("code", "alloc")
+                        .field("code", ERR_ALLOC)
                         .with_payload(e.clone().into_bytes())
                 }
             }

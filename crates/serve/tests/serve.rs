@@ -8,12 +8,13 @@ use std::time::Duration;
 
 use regalloc_driver::{run_suite, CacheMode, DriverConfig};
 use regalloc_ilp::SolverConfig;
+use regalloc_machine::TargetId;
 use regalloc_serve::{scrape_metrics, AllocOptions, Client, ServeConfig, ServeReport, Server};
-use regalloc_workloads::{Benchmark, Suite};
+use regalloc_workloads::{fuzz_function, Benchmark, GenConfig, Suite};
 
 fn test_driver_cfg(jobs: usize) -> DriverConfig {
     DriverConfig {
-        target: regalloc_machine::TargetId::X86Pentium,
+        target: TargetId::X86Pentium,
         jobs,
         solver: SolverConfig::deterministic(),
         function_budget: Duration::from_secs(2),
@@ -389,4 +390,50 @@ fn metrics_endpoint_serves_prometheus_text_on_the_same_port() {
         "metrics body missing gauges:\n{body}"
     );
     drain_and_join(&addr, server);
+}
+
+/// One cache serves every target, so its limits bound the whole
+/// directory: two targets' requests against a two-entry bound leave at
+/// most two entries on disk, not two per target.
+#[test]
+fn cache_limits_bound_the_directory_across_targets() {
+    let dir =
+        std::env::temp_dir().join(format!("regalloc-serve-bound-cache-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let mut driver = test_driver_cfg(2);
+    driver.cache = CacheMode::Disk(dir.clone());
+    driver.cache_limits.max_entries = Some(2);
+    let (addr, server) = start(ServeConfig {
+        driver,
+        ..ServeConfig::default()
+    });
+    let mut client = Client::connect(&addr, "bound").expect("connect");
+    client.set_timeout(Some(Duration::from_secs(60))).ok();
+    // Portable 16-bit bodies, which every registered target accepts.
+    let funcs: Vec<String> = (0..4)
+        .map(|i| {
+            let f = fuzz_function(&format!("pt{i}"), 0xbeef + i, &GenConfig::portable16());
+            format!("{f}\n")
+        })
+        .collect();
+    for target in [TargetId::X86Pentium, TargetId::Mcu] {
+        let opts = AllocOptions {
+            target: Some(target.name().to_string()),
+            ..AllocOptions::default()
+        };
+        for f in &funcs {
+            let resp = client.alloc(f, &opts).expect("alloc");
+            assert_eq!(resp.frame.verb, "OK", "{target}: {}", resp.message());
+            assert_eq!(resp.frame.get("target"), Some(target.name()));
+        }
+    }
+    drop(client);
+    drain_and_join(&addr, server);
+    let entries = std::fs::read_dir(&dir)
+        .expect("the cache directory exists")
+        .flatten()
+        .filter(|e| e.path().extension().is_some_and(|x| x == "alloc"))
+        .count();
+    std::fs::remove_dir_all(&dir).ok();
+    assert!(entries <= 2, "{entries} cache entries on disk, bound is 2");
 }

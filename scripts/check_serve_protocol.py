@@ -30,7 +30,8 @@ import socket
 import sys
 
 RESPONSE_VERBS = {"OK", "ERR", "BUSY", "DRAINING", "PONG"}
-ERR_CODES = {"parse", "protocol", "panic", "internal", "alloc"}
+# The codes `crates/serve/src/proto.rs` states the server sends.
+ERR_CODES = {"parse", "target", "protocol", "panic", "alloc"}
 RUNGS = {"ip-optimal", "ip-incumbent", "warm-start", "coloring", "spill-all", "none"}
 BUDGETS = {"full", "shrunk", "exhausted"}
 REPORT_KEYS = {"name", "rung", "reasons", "constraints", "vars", "insts",
