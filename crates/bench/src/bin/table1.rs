@@ -3,7 +3,8 @@
 //! These are machine-model constants (Pentium timings), printed from
 //! `regalloc-x86` exactly as the paper lists them.
 
-use regalloc_x86::{Machine, X86Machine};
+use regalloc_machine::Machine;
+use regalloc_x86::X86Machine;
 
 fn main() {
     let m = X86Machine::pentium();

@@ -28,7 +28,9 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use regalloc_core::{ReasonCode, Rung};
-use regalloc_driver::{run_suite, CacheMode, DriverConfig, FunctionResult, SuiteOutcome};
+use regalloc_driver::{
+    parse_secs, run_suite, CacheMode, DriverConfig, FunctionResult, SuiteOutcome,
+};
 use regalloc_machine::TargetId;
 use regalloc_obs::{Metrics, Phase};
 use regalloc_workloads::{Benchmark, Suite};
@@ -104,8 +106,9 @@ impl Options {
                     i += 2;
                 }
                 "--time-limit" => {
-                    let secs: f64 = need(i).parse().expect("--time-limit takes seconds");
-                    o.set_time_limit(Duration::from_secs_f64(secs));
+                    let limit =
+                        parse_secs("--time-limit", need(i)).unwrap_or_else(|e| panic!("{e}"));
+                    o.set_time_limit(limit);
                     i += 2;
                 }
                 "--jobs" => {
@@ -113,8 +116,9 @@ impl Options {
                     i += 2;
                 }
                 "--budget-secs" => {
-                    let secs: f64 = need(i).parse().expect("--budget-secs takes seconds");
-                    o.driver.global_budget = Some(Duration::from_secs_f64(secs));
+                    let budget =
+                        parse_secs("--budget-secs", need(i)).unwrap_or_else(|e| panic!("{e}"));
+                    o.driver.global_budget = Some(budget);
                     i += 2;
                 }
                 "--cache-dir" => {

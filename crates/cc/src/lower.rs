@@ -937,12 +937,7 @@ fn lower_function(
 }
 
 /// Lower a whole parsed program to IR functions, in definition order,
-/// under the default (32-bit) options.
-pub fn lower_program(decls: &[Decl]) -> Result<Vec<Function>, CcError> {
-    lower_program_with(decls, &LowerOptions::default())
-}
-
-/// Lower a whole parsed program under explicit target options.
+/// under explicit target options.
 pub fn lower_program_with(decls: &[Decl], opts: &LowerOptions) -> Result<Vec<Function>, CcError> {
     let mut callees = CalleeMap::default();
     let mut file_globals: HashMap<String, FileGlobal> = HashMap::new();

@@ -22,7 +22,7 @@
 use std::collections::HashMap;
 
 use regalloc_ir::{BlockId, Cfg, Function, GlobalId, Inst, Liveness, Loc, SymId, UseRole, Width};
-use regalloc_x86::Machine;
+use regalloc_machine::Machine;
 
 /// A segment identifier: one maximal interval of one symbolic register's
 /// live range over which allocation is constant.
@@ -92,13 +92,6 @@ pub struct Analysis {
     pub remat: Vec<Option<i64>>,
     /// §5.5 home-coalescing target per symbolic.
     pub predefined: Vec<Option<GlobalId>>,
-}
-
-impl Analysis {
-    /// Total number of segments.
-    pub fn num_segments(&self) -> usize {
-        self.seg_sym.len()
-    }
 }
 
 /// Classify symbolics: definition counts, rematerialisable constants,

@@ -31,7 +31,7 @@ use std::collections::HashMap;
 
 use regalloc_ilp::{Model, VarId};
 use regalloc_ir::{Cfg, Function, Inst, PhysReg, Profile, SymId, UseRole};
-use regalloc_x86::Machine;
+use regalloc_machine::Machine;
 
 use crate::analysis::{Analysis, Event, SegId};
 use crate::cost::CostModel;

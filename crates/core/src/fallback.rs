@@ -14,7 +14,7 @@
 use std::collections::HashMap;
 
 use regalloc_ir::{Dst, Function, Inst, Loc, Operand, PhysReg, Profile, SlotId, SymId};
-use regalloc_x86::Machine;
+use regalloc_machine::Machine;
 
 use crate::stats::SpillStats;
 

@@ -19,10 +19,10 @@
 //!
 //! This module prices those penalties with the §4 cost model.
 //!
-//! [`Machine::use_constraints`]: regalloc_x86::Machine::use_constraints
+//! [`Machine::use_constraints`]: regalloc_machine::Machine::use_constraints
 
 use regalloc_ir::PhysReg;
-use regalloc_x86::OperandConstraint;
+use regalloc_machine::OperandConstraint;
 
 use crate::cost::CostModel;
 

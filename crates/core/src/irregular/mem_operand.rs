@@ -23,8 +23,8 @@
 //! * one *exclusivity* row per instruction, `Σ memuse + combined ≤ 1`,
 //!   since the x86 encodes at most one memory operand per instruction.
 //!
-//! [`Machine::mem_use_ok`]: regalloc_x86::Machine::mem_use_ok
-//! [`Machine::mem_combined_ok`]: regalloc_x86::Machine::mem_combined_ok
+//! [`Machine::mem_use_ok`]: regalloc_machine::Machine::mem_use_ok
+//! [`Machine::mem_combined_ok`]: regalloc_machine::Machine::mem_combined_ok
 
 use regalloc_ir::{Dst, Inst, Loc, Operand, SymId};
 

@@ -3,7 +3,7 @@
 //! Registers that share bit fields (AL/AX/EAX…) can together hold at most
 //! one value. The machine model groups such registers into maximal
 //! *register sets* sharing one underlying bit field
-//! ([`Machine::overlap_groups`](regalloc_x86::Machine::overlap_groups)),
+//! ([`Machine::overlap_groups`](regalloc_machine::Machine::overlap_groups)),
 //! and the builder emits a **generalised single-symbolic constraint** per
 //! set at every program point where occupancy can change:
 //!

@@ -20,14 +20,16 @@
 //! 5. **Spill everything** — the [`crate::fallback`] allocation
 //!    ([`Rung::SpillAll`]).
 //!
-//! No rung's output is trusted. Every candidate must pass structural
-//! verification ([`regalloc_ir::verify_allocated`]) *and* an
-//! interpreter-equivalence run ([`crate::check::equivalent`]) against the
-//! original function before it is accepted; any failure — a panic
-//! (isolated with [`std::panic::catch_unwind`]), an expired deadline,
-//! solver numerical trouble, or a validation divergence — demotes the
-//! ladder to the next rung and records a structured [`ReasonCode`] in the
-//! per-function [`AllocReport`].
+//! No rung's output is trusted. Every candidate must pass one gate,
+//! [`RobustAllocator::validate`]: structural verification
+//! ([`regalloc_ir::verify_allocated`]), the machine invariants and the
+//! static translation validator, and an interpreter-equivalence run
+//! ([`crate::check::equivalent`]) against the original function. The
+//! driver judges cached allocations with the same gate. Any failure — a
+//! panic (isolated with [`std::panic::catch_unwind`]), an expired
+//! deadline, solver numerical trouble, or a validation divergence —
+//! demotes the ladder to the next rung and records a structured
+//! [`ReasonCode`] in the per-function [`AllocReport`].
 //!
 //! A seeded [`FaultPlan`] can inject failures (forced solver timeouts,
 //! panics in build/rewrite, bit-flipped solution vectors) to exercise
@@ -312,6 +314,28 @@ pub struct AuditSummary {
     pub diagnostics: Vec<regalloc_lint::Diagnostic>,
 }
 
+impl AuditSummary {
+    /// Summarise an audit — of a fresh proof or of a cached certificate —
+    /// and record its verdict on `tracer` as a `CertificateChecked` or
+    /// `CertificateRejected` event. `code` is `None` exactly when the
+    /// proof verified.
+    pub fn record(outcome: regalloc_audit::AuditOutcome, tracer: &Tracer) -> AuditSummary {
+        let leaves = outcome.leaves_checked;
+        let code = (outcome.verdict != regalloc_audit::Verdict::Verified)
+            .then(|| outcome.primary_code().unwrap_or("unknown"));
+        match code {
+            None => tracer.event(|| Event::CertificateChecked { leaves }),
+            Some(code) => tracer.event(|| Event::CertificateRejected { code }),
+        }
+        AuditSummary {
+            verdict: outcome.verdict,
+            leaves,
+            code,
+            diagnostics: outcome.diagnostics,
+        }
+    }
+}
+
 /// Per-function report: which rung produced the emitted code, every
 /// demotion along the way, timings and solver health.
 #[derive(Clone, Debug)]
@@ -384,6 +408,9 @@ pub struct RobustOutcome {
     /// was on, the accepted rung is [`Rung::IpOptimal`] and the audit
     /// verified it (the driver cache persists it for hit-time re-audit).
     pub certificate: Option<regalloc_ilp::Certificate>,
+    /// Quality lints over `func`, from the static analysis the gate ran
+    /// to accept it (empty with static validation off).
+    pub lints: Vec<regalloc_lint::Diagnostic>,
 }
 
 /// The injected graph-coloring rung.
@@ -529,16 +556,25 @@ impl<'m, M: Machine + ?Sized> RobustAllocator<'m, M> {
         self
     }
 
-    /// Validate a candidate: structural verification, then (with static
-    /// validation on) the machine invariants and the static translation
-    /// validator, then interpreter equivalence against the original
-    /// function.
-    fn validate(
+    /// The acceptance gate: every allocation the system serves passes
+    /// here, each ladder candidate and each cache hit alike. Structural
+    /// verification first, then (with static validation on) the machine
+    /// invariants and the static translation validator, then interpreter
+    /// equivalence against the original function.
+    ///
+    /// On acceptance, returns the quality lints of the one static
+    /// analysis the gate ran (empty with static validation off).
+    ///
+    /// # Errors
+    ///
+    /// The first check `cand` fails, as the reason code the ladder
+    /// records for it and a detail naming the first finding.
+    pub fn validate(
         &self,
         orig: &Function,
         cand: &Function,
         tracer: &Tracer,
-    ) -> Result<(), (ReasonCode, String)> {
+    ) -> Result<Vec<regalloc_lint::Diagnostic>, (ReasonCode, String)> {
         {
             let _s = tracer.span(Phase::Verify);
             if let Err(errs) = verify_allocated(cand) {
@@ -552,6 +588,7 @@ impl<'m, M: Machine + ?Sized> RobustAllocator<'m, M> {
                 ));
             }
         }
+        let mut lints = Vec::new();
         if self.static_validation {
             let _s = tracer.span(Phase::StaticValidate);
             // Encodability first: width classes, pinned operands, memory
@@ -562,13 +599,14 @@ impl<'m, M: Machine + ?Sized> RobustAllocator<'m, M> {
                     format!("{} machine errors, first: {}", errs.len(), errs[0]),
                 ));
             }
-            let errs = regalloc_lint::validate(self.machine, orig, cand);
-            if !errs.is_empty() {
+            let analysis = regalloc_lint::analyze(self.machine, orig, cand);
+            if let Some(first) = analysis.errors.first() {
                 return Err((
                     ReasonCode::StaticValidationFailed,
-                    format!("{} static errors, first: {}", errs.len(), errs[0]),
+                    format!("{} static errors, first: {first}", analysis.errors.len()),
                 ));
             }
+            lints = analysis.lints;
         }
         if self.equiv_runs > 0 {
             let _s = tracer.span(Phase::InterpCheck);
@@ -577,7 +615,7 @@ impl<'m, M: Machine + ?Sized> RobustAllocator<'m, M> {
             })
             .map_err(|e| (ReasonCode::EquivalenceFailed, e))?;
         }
-        Ok(())
+        Ok(lints)
     }
 
     /// Allocate registers for `f` through the degradation ladder.
@@ -615,17 +653,6 @@ impl<'m, M: Machine + ?Sized> RobustAllocator<'m, M> {
         let loops = LoopInfo::new(f, &cfg);
         let profile = Profile::estimate(f, &cfg, &loops);
         let deadline = Deadline::after(self.budget);
-        let mut demotions: Vec<Demotion> = Vec::new();
-        let mut health = SolverHealth::default();
-        let mut solve_time = Duration::ZERO;
-        let mut validate_time = Duration::ZERO;
-        let mut solver_nodes = 0u64;
-        let mut lp_iters = 0u64;
-        let mut num_constraints = 0usize;
-        let mut num_vars = 0usize;
-        let mut warm_kind = WarmStartKind::None;
-        let mut audit_summary: Option<AuditSummary> = None;
-        let mut certificate: Option<regalloc_ilp::Certificate> = None;
 
         // ---- Stage 1: analysis + model build (guarded). -------------------
         // A panic here takes the IP and warm-start rungs down together:
@@ -644,383 +671,358 @@ impl<'m, M: Machine + ?Sized> RobustAllocator<'m, M> {
                 (analysis, built, warm)
             }))
         };
-        let build_time = t0.elapsed();
-
-        macro_rules! finish {
-            ($rung:expr, $func:expr, $stats:expr, $symbolic:expr) => {{
-                let rung: Rung = $rung;
-                tracer.event(|| Event::Accepted {
-                    rung: rung.name(),
-                    warm_start: warm_kind.name(),
-                });
-                return Ok(RobustOutcome {
-                    func: $func,
-                    stats: $stats,
-                    report: AllocReport {
-                        name: f.name().to_string(),
-                        rung,
-                        demotions,
-                        build_time,
-                        solve_time,
-                        validate_time,
-                        health,
-                        solver_nodes,
-                        lp_iters,
-                        num_constraints,
-                        num_vars,
-                        num_insts: f.num_insts(),
-                        warm_start: warm_kind,
-                        audit: audit_summary.take(),
-                    },
-                    symbolic: $symbolic,
-                    certificate: if rung == Rung::IpOptimal {
-                        certificate.take()
-                    } else {
-                        None
-                    },
-                });
-            }};
-        }
-
-        // Record a demotion and mirror it as a trace event.
-        macro_rules! demote {
-            ($rung:expr, $reason:expr, $detail:expr) => {{
-                let rung: Rung = $rung;
-                let reason: ReasonCode = $reason;
-                tracer.event(|| Event::Demoted {
-                    rung: rung.name(),
-                    reason: reason.name(),
-                });
-                demotions.push(Demotion {
-                    from: rung,
-                    reason,
-                    detail: $detail,
-                });
-            }};
-        }
-
-        let model_rungs = match built_parts {
-            Ok(parts) => Some(parts),
-            Err(e) => {
-                let msg = panic_msg(e);
-                for rung in [Rung::IpOptimal, Rung::IpIncumbent, Rung::WarmStart] {
-                    demote!(
-                        rung,
-                        ReasonCode::Panic,
-                        format!("model build panicked: {msg}")
-                    );
-                }
-                None
-            }
+        let mut report = AllocReport {
+            name: f.name().to_string(),
+            // Overwritten by the rung the ladder accepts.
+            rung: Rung::SpillAll,
+            demotions: Vec::new(),
+            build_time: t0.elapsed(),
+            solve_time: Duration::ZERO,
+            validate_time: Duration::ZERO,
+            health: SolverHealth::default(),
+            solver_nodes: 0,
+            lp_iters: 0,
+            num_constraints: 0,
+            num_vars: 0,
+            num_insts: f.num_insts(),
+            warm_start: WarmStartKind::None,
+            audit: None,
+        };
+        let mut certificate: Option<regalloc_ilp::Certificate> = None;
+        let (model, warm_values) = match built_parts {
+            Ok((analysis, built, warm)) => (Ok((analysis, built)), warm),
+            Err(e) => (Err(panic_msg(e)), None),
         };
 
-        // ---- Stage 2: solve + rewrite the solver-derived rungs. -----------
-        if let Some((analysis, built, warm_values)) = model_rungs {
-            num_constraints = built.model.num_rows();
-            num_vars = built.model.num_vars();
-            tracer.event(|| Event::ModelBuilt {
-                insts: f.num_insts() as u64,
-                vars: num_vars as u64,
-                constraints: num_constraints as u64,
-            });
-
-            let solve_deadline = if faults.force_timeout {
-                Deadline::after(Duration::ZERO)
-            } else {
-                deadline
-            };
-            // Assemble the seed incumbents: the spill-everything bound
-            // plus, when a donor was injected, its projection onto this
-            // model. An infeasible projection is dropped silently — a
-            // donor can only speed the solve up, never corrupt it.
-            let mut seeds: Vec<Incumbent> = Vec::new();
-            if let Some(w) = &warm_values {
-                seeds.push(Incumbent {
-                    source: "spill",
-                    values: w.clone(),
-                });
-            }
-            if let Some(donor) = &self.donor {
-                let base: &[bool] = warm_values.as_deref().unwrap_or(&[]);
-                // Same containment as the solver itself: a donor is
-                // foreign data, and a panic while mapping it must cost
-                // the seed, never the function.
-                let proj = catch_unwind(AssertUnwindSafe(|| {
-                    let proj = built.project(&donor.solution, base);
-                    built.model.is_feasible(&proj).then_some(proj)
-                }));
-                let source = if donor.exact { "exact" } else { "projected" };
-                if let Ok(Some(proj)) = proj {
-                    seeds.push(Incumbent {
-                        source,
-                        values: proj,
-                    });
-                } else {
-                    tracer.event(|| Event::SeedRejected {
-                        source,
-                        reason: "infeasible-projection",
-                    });
+        // ---- Stage 2: solve, then list the rungs in ladder order. ---------
+        // Each rung either has a way to produce its candidate or is
+        // already demoted with the reason it has none.
+        let mut ladder = Vec::new();
+        match &model {
+            Err(msg) => {
+                for rung in [Rung::IpOptimal, Rung::IpIncumbent, Rung::WarmStart] {
+                    let detail = format!("model build panicked: {msg}");
+                    ladder.push((rung, Err((ReasonCode::Panic, detail))));
                 }
             }
-            // Auditing needs the solver's proof; emission is pure
-            // observation (same pivots, same events, same solution), so
-            // flipping it on cannot change the allocation.
-            let solver_cfg = SolverConfig {
-                emit_certificates: self.audit,
-                ..self.solver.clone()
-            };
-            let sol = catch_unwind(AssertUnwindSafe(|| {
-                solve_seeded_traced(&built.model, &solver_cfg, &seeds, solve_deadline, tracer)
-            }));
+            Ok((analysis, built)) => {
+                report.num_constraints = built.model.num_rows();
+                report.num_vars = built.model.num_vars();
+                tracer.event(|| Event::ModelBuilt {
+                    insts: f.num_insts() as u64,
+                    vars: report.num_vars as u64,
+                    constraints: report.num_constraints as u64,
+                });
 
-            // Each solver-derived rung is a (rung, values) candidate; the
-            // first whose rewrite + validation succeeds wins.
-            let mut candidates: Vec<(Rung, Vec<bool>)> = Vec::new();
-            match sol {
-                Ok(sol) => {
-                    solve_time = sol.solve_time;
-                    solver_nodes = sol.nodes;
-                    lp_iters = sol.lp_iters;
-                    health.merge(&sol.health);
-                    warm_kind = match sol.incumbent_source {
-                        Some("exact") => WarmStartKind::Exact,
-                        Some("projected") => WarmStartKind::Projected,
-                        _ => WarmStartKind::None,
-                    };
-                    let (ip_reason, ip_detail) = match sol.status {
-                        Status::Optimal if self.audit => {
-                            let outcome = {
-                                let _s = tracer.span(Phase::Audit);
-                                regalloc_audit::audit_solution(&built.model, &sol)
-                            };
-                            let leaves = outcome.leaves_checked;
-                            match outcome.verdict {
-                                regalloc_audit::Verdict::Verified => {
-                                    tracer.event(|| Event::CertificateChecked { leaves });
-                                    audit_summary = Some(AuditSummary {
-                                        verdict: outcome.verdict,
-                                        leaves,
-                                        code: None,
-                                        diagnostics: Vec::new(),
-                                    });
-                                    certificate = sol.certificate.clone();
-                                    candidates.push((Rung::IpOptimal, sol.values.clone()));
-                                    (None, String::new())
-                                }
-                                _ => {
-                                    let code = outcome.primary_code().unwrap_or("unknown");
-                                    tracer.event(|| Event::CertificateRejected { code });
-                                    audit_summary = Some(AuditSummary {
-                                        verdict: outcome.verdict,
-                                        leaves,
-                                        code: Some(code),
-                                        diagnostics: outcome.diagnostics,
-                                    });
+                let solve_deadline = if faults.force_timeout {
+                    Deadline::after(Duration::ZERO)
+                } else {
+                    deadline
+                };
+                // Assemble the seed incumbents: the spill-everything bound
+                // plus, when a donor was injected, its projection onto this
+                // model. An infeasible projection is dropped silently — a
+                // donor can only speed the solve up, never corrupt it.
+                let mut seeds: Vec<Incumbent> = Vec::new();
+                if let Some(w) = &warm_values {
+                    seeds.push(Incumbent {
+                        source: "spill",
+                        values: w.clone(),
+                    });
+                }
+                if let Some(donor) = &self.donor {
+                    let base: &[bool] = warm_values.as_deref().unwrap_or(&[]);
+                    // Same containment as the solver itself: a donor is
+                    // foreign data, and a panic while mapping it must cost
+                    // the seed, never the function.
+                    let proj = catch_unwind(AssertUnwindSafe(|| {
+                        let proj = built.project(&donor.solution, base);
+                        built.model.is_feasible(&proj).then_some(proj)
+                    }));
+                    let source = if donor.exact { "exact" } else { "projected" };
+                    if let Ok(Some(proj)) = proj {
+                        seeds.push(Incumbent {
+                            source,
+                            values: proj,
+                        });
+                    } else {
+                        tracer.event(|| Event::SeedRejected {
+                            source,
+                            reason: "infeasible-projection",
+                        });
+                    }
+                }
+                // Auditing needs the solver's proof; emission is pure
+                // observation (same pivots, same events, same solution), so
+                // flipping it on cannot change the allocation.
+                let solver_cfg = SolverConfig {
+                    emit_certificates: self.audit,
+                    ..self.solver.clone()
+                };
+                let sol = catch_unwind(AssertUnwindSafe(|| {
+                    solve_seeded_traced(&built.model, &solver_cfg, &seeds, solve_deadline, tracer)
+                }));
+
+                match sol {
+                    Ok(mut sol) => {
+                        report.solve_time = sol.solve_time;
+                        report.solver_nodes = sol.nodes;
+                        report.lp_iters = sol.lp_iters;
+                        report.health.merge(&sol.health);
+                        report.warm_start = match sol.incumbent_source {
+                            Some("exact") => WarmStartKind::Exact,
+                            Some("projected") => WarmStartKind::Projected,
+                            _ => WarmStartKind::None,
+                        };
+                        // The IP rung the solution is a candidate for, and
+                        // why the rungs above it are demoted.
+                        let why = |reason, detail: &str| Some((reason, detail.to_string()));
+                        let (ip_rung, demoted) = match sol.status {
+                            Status::Optimal if self.audit => {
+                                let outcome = {
+                                    let _s = tracer.span(Phase::Audit);
+                                    regalloc_audit::audit_solution(&built.model, &sol)
+                                };
+                                let audit = AuditSummary::record(outcome, tracer);
+                                let code = audit.code;
+                                report.audit = Some(audit);
+                                match code {
+                                    None => {
+                                        certificate = sol.certificate.take();
+                                        (Some(Rung::IpOptimal), None)
+                                    }
                                     // The assignment is still a checked,
                                     // validated allocation — only the
                                     // optimality proof is withdrawn.
-                                    candidates.push((Rung::IpIncumbent, sol.values.clone()));
-                                    (
-                                        Some(ReasonCode::CertificateRejected),
-                                        format!("certificate audit failed: {code}"),
-                                    )
+                                    Some(code) => (
+                                        Some(Rung::IpIncumbent),
+                                        why(
+                                            ReasonCode::CertificateRejected,
+                                            &format!("certificate audit failed: {code}"),
+                                        ),
+                                    ),
                                 }
                             }
-                        }
-                        Status::Optimal => {
-                            candidates.push((Rung::IpOptimal, sol.values.clone()));
-                            (None, String::new())
-                        }
-                        Status::Feasible if !sol.warm_start_only => {
-                            candidates.push((Rung::IpIncumbent, sol.values.clone()));
-                            (
-                                Some(ReasonCode::SolverTimeout),
-                                "no optimality proof within budget".to_string(),
-                            )
-                        }
-                        // A donor incumbent the search could not beat is
-                        // still an IP-derived allocation — it was solved
-                        // to (or near) optimality for its donor and is
-                        // feasible on this model. A better seed must
-                        // never produce a worse rung, so only the
-                        // spill-everything seed demotes.
-                        Status::Feasible if sol.incumbent_source != Some("spill") => {
-                            candidates.push((Rung::IpIncumbent, sol.values.clone()));
-                            (
-                                Some(ReasonCode::SolverTimeout),
-                                "best known is the seeded donor incumbent".to_string(),
-                            )
-                        }
-                        Status::Feasible => (
-                            Some(ReasonCode::SolverTimeout),
-                            "solver returned only the seeded warm start".to_string(),
-                        ),
-                        Status::NumericalTrouble => (
-                            Some(ReasonCode::NumericalTrouble),
-                            format!("solver health: {:?}", sol.health),
-                        ),
-                        Status::Infeasible => (
-                            Some(ReasonCode::Infeasible),
-                            "model proved infeasible".to_string(),
-                        ),
-                        Status::Unknown => (
-                            Some(ReasonCode::SolverLimit),
-                            "solver stopped with nothing usable".to_string(),
-                        ),
-                    };
-                    if let Some(reason) = ip_reason {
-                        let until = if candidates.is_empty() {
-                            // Neither IP rung has a candidate.
-                            vec![Rung::IpOptimal, Rung::IpIncumbent]
-                        } else {
-                            vec![Rung::IpOptimal]
+                            Status::Optimal => (Some(Rung::IpOptimal), None),
+                            Status::Feasible if !sol.warm_start_only => (
+                                Some(Rung::IpIncumbent),
+                                why(
+                                    ReasonCode::SolverTimeout,
+                                    "no optimality proof within budget",
+                                ),
+                            ),
+                            // A donor incumbent the search could not beat is
+                            // still an IP-derived allocation — it was solved
+                            // to (or near) optimality for its donor and is
+                            // feasible on this model. A better seed must
+                            // never produce a worse rung, so only the
+                            // spill-everything seed demotes.
+                            Status::Feasible if sol.incumbent_source != Some("spill") => (
+                                Some(Rung::IpIncumbent),
+                                why(
+                                    ReasonCode::SolverTimeout,
+                                    "best known is the seeded donor incumbent",
+                                ),
+                            ),
+                            Status::Feasible => (
+                                None,
+                                why(
+                                    ReasonCode::SolverTimeout,
+                                    "solver returned only the seeded warm start",
+                                ),
+                            ),
+                            Status::NumericalTrouble => (
+                                None,
+                                why(
+                                    ReasonCode::NumericalTrouble,
+                                    &format!("solver health: {:?}", sol.health),
+                                ),
+                            ),
+                            Status::Infeasible => {
+                                (None, why(ReasonCode::Infeasible, "model proved infeasible"))
+                            }
+                            Status::Unknown => (
+                                None,
+                                why(
+                                    ReasonCode::SolverLimit,
+                                    "solver stopped with nothing usable",
+                                ),
+                            ),
                         };
-                        for rung in until {
-                            demote!(rung, reason, ip_detail.clone());
+                        if let Some(demoted) = demoted {
+                            ladder.push((Rung::IpOptimal, Err(demoted.clone())));
+                            if ip_rung.is_none() {
+                                ladder.push((Rung::IpIncumbent, Err(demoted)));
+                            }
+                        }
+                        if let Some(rung) = ip_rung {
+                            ladder.push((rung, Ok(Source::Rewrite(analysis, built, sol.values))));
+                        }
+                    }
+                    Err(e) => {
+                        let msg = panic_msg(e);
+                        for rung in [Rung::IpOptimal, Rung::IpIncumbent] {
+                            let detail = format!("solver panicked: {msg}");
+                            ladder.push((rung, Err((ReasonCode::Panic, detail))));
                         }
                     }
                 }
-                Err(e) => {
-                    let msg = panic_msg(e);
-                    for rung in [Rung::IpOptimal, Rung::IpIncumbent] {
-                        demote!(rung, ReasonCode::Panic, format!("solver panicked: {msg}"));
-                    }
-                }
+                // No admissible scratch or definition register somewhere:
+                // skip the rung instead of panicking.
+                let warm = warm_values
+                    .map(|w| Source::Rewrite(analysis, built, w))
+                    .ok_or_else(|| {
+                        (
+                            ReasonCode::RungFailed,
+                            "no admissible spill-everything warm start".to_string(),
+                        )
+                    });
+                ladder.push((Rung::WarmStart, warm));
             }
-            match warm_values {
-                Some(w) => candidates.push((Rung::WarmStart, w)),
-                // Satellite of the machine model: no admissible scratch
-                // or definition register somewhere — skip the rung
-                // instead of panicking.
-                None => demote!(
-                    Rung::WarmStart,
-                    ReasonCode::RungFailed,
-                    "no admissible spill-everything warm start".to_string()
-                ),
-            }
+        }
+        let coloring = self.baseline.map(Source::Baseline).ok_or_else(|| {
+            (
+                ReasonCode::RungUnavailable,
+                "no baseline allocator injected".to_string(),
+            )
+        });
+        ladder.push((Rung::Coloring, coloring));
+        ladder.push((Rung::SpillAll, Ok(Source::Fallback)));
 
-            for (rung, mut values) in candidates {
-                if deadline.expired() && rung != Rung::WarmStart {
-                    demote!(
-                        rung,
+        // ---- Stage 3: the first candidate through the gate wins. ----------
+        for (rung, source) in ladder {
+            let candidate = match source {
+                Err(demoted) => Err(demoted),
+                // The deadline rule: once the per-function budget is spent,
+                // the IP rungs and the coloring baseline are skipped; the
+                // warm start and spill-all still run, since code must be
+                // emitted.
+                Ok(_)
+                    if deadline.expired()
+                        && matches!(rung, Rung::IpOptimal | Rung::IpIncumbent | Rung::Coloring) =>
+                {
+                    Err((
                         ReasonCode::DeadlineExceeded,
-                        "per-function budget expired".to_string()
-                    );
-                    continue;
+                        "per-function budget expired".to_string(),
+                    ))
                 }
-                // Bit-flip fault: damage solver-produced vectors only; the
-                // validators below must catch it.
-                if let (Some(seed), true) = (faults.corrupt_solution, rung != Rung::WarmStart) {
-                    if !values.is_empty() {
-                        for k in 0..8 {
-                            let i = regalloc_ir::interp::mix64(seed ^ k) as usize % values.len();
-                            values[i] = !values[i];
+                Ok(source) => self.produce(rung, source, f, &profile, tracer),
+            };
+            let accepted = candidate.and_then(|(func, stats, symbolic)| {
+                let tv = Instant::now();
+                let verdict = self.validate(f, &func, tracer);
+                report.validate_time += tv.elapsed();
+                verdict.map(|lints| (func, stats, symbolic, lints))
+            });
+            match accepted {
+                Ok((func, stats, symbolic, lints)) => {
+                    tracer.event(|| Event::Accepted {
+                        rung: rung.name(),
+                        warm_start: report.warm_start.name(),
+                    });
+                    report.rung = rung;
+                    return Ok(RobustOutcome {
+                        func,
+                        stats,
+                        report,
+                        symbolic,
+                        certificate: certificate.filter(|_| rung == Rung::IpOptimal),
+                        lints,
+                    });
+                }
+                Err((reason, detail)) => {
+                    tracer.event(|| Event::Demoted {
+                        rung: rung.name(),
+                        reason: reason.name(),
+                    });
+                    report.demotions.push(Demotion {
+                        from: rung,
+                        reason,
+                        detail,
+                    });
+                }
+            }
+        }
+        Err(AllocError::LadderExhausted)
+    }
+
+    /// Produce one rung's candidate, with panics isolated.
+    fn produce(
+        &self,
+        rung: Rung,
+        source: Source<'_>,
+        f: &Function,
+        profile: &Profile,
+        tracer: &Tracer,
+    ) -> Result<Candidate, (ReasonCode, String)> {
+        let faults = self.faults;
+        let (phase, what, run): (_, _, Box<dyn FnOnce() -> Result<Candidate, String> + '_>) =
+            match source {
+                Source::Rewrite(analysis, built, mut values) => {
+                    // Bit-flip fault: damage solver-produced vectors only;
+                    // the gate must catch it.
+                    if let (Some(seed), true) = (faults.corrupt_solution, rung != Rung::WarmStart) {
+                        if !values.is_empty() {
+                            for k in 0..8 {
+                                let i =
+                                    regalloc_ir::interp::mix64(seed ^ k) as usize % values.len();
+                                values[i] = !values[i];
+                            }
                         }
                     }
-                }
-                let cand = {
-                    let _s = tracer.span(Phase::Rewrite);
-                    catch_unwind(AssertUnwindSafe(|| {
+                    let run = move || {
                         assert!(
                             !faults.panic_in_rewrite,
                             "fault injection: panic_in_rewrite"
                         );
-                        rewrite::apply(f, &profile, &analysis, &built, &values, self.machine)
-                    }))
-                };
-                let (func, stats) = match cand {
-                    Ok(pair) => pair,
-                    Err(e) => {
-                        demote!(
-                            rung,
-                            ReasonCode::Panic,
-                            format!("rewrite panicked: {}", panic_msg(e))
-                        );
-                        continue;
-                    }
-                };
-                let tv = Instant::now();
-                let valid = self.validate(f, &func, tracer);
-                validate_time += tv.elapsed();
-                match valid {
-                    Ok(()) => finish!(rung, func, stats, Some(built.lift(&values))),
-                    Err((reason, detail)) => {
-                        demote!(rung, reason, detail);
-                    }
+                        let (func, stats) =
+                            rewrite::apply(f, profile, analysis, built, &values, self.machine);
+                        Ok((func, stats, Some(built.lift(&values))))
+                    };
+                    (Phase::Rewrite, "rewrite", Box::new(run))
                 }
-            }
-        }
-
-        // ---- Stage 3: the graph-coloring baseline (guarded). --------------
-        match self.baseline {
-            None => demote!(
-                Rung::Coloring,
-                ReasonCode::RungUnavailable,
-                "no baseline allocator injected".to_string()
-            ),
-            Some(_) if deadline.expired() => demote!(
-                Rung::Coloring,
-                ReasonCode::DeadlineExceeded,
-                "per-function budget expired".to_string()
-            ),
-            Some(baseline) => {
-                let cand = {
-                    let _s = tracer.span(Phase::Baseline);
-                    catch_unwind(AssertUnwindSafe(|| baseline.allocate_baseline(f, &profile)))
-                };
-                match cand {
-                    Ok(Ok((func, stats))) => {
-                        let tv = Instant::now();
-                        let valid = self.validate(f, &func, tracer);
-                        validate_time += tv.elapsed();
-                        match valid {
-                            Ok(()) => finish!(Rung::Coloring, func, stats, None),
-                            Err((reason, detail)) => demote!(Rung::Coloring, reason, detail),
-                        }
-                    }
-                    Ok(Err(msg)) => demote!(Rung::Coloring, ReasonCode::RungFailed, msg),
-                    Err(e) => demote!(
-                        Rung::Coloring,
-                        ReasonCode::Panic,
-                        format!("baseline panicked: {}", panic_msg(e))
-                    ),
+                Source::Baseline(baseline) => {
+                    let run = || {
+                        let (func, stats) = baseline.allocate_baseline(f, profile)?;
+                        Ok((func, stats, None))
+                    };
+                    (Phase::Baseline, "baseline", Box::new(run))
                 }
-            }
-        }
-
-        // ---- Stage 4: spill everything — the rung of last resort. ---------
-        // Runs even past the deadline: code must still be emitted.
-        let cand = {
-            let _s = tracer.span(Phase::Fallback);
-            catch_unwind(AssertUnwindSafe(|| {
-                fallback::spill_everything(f, &profile, self.machine)
-            }))
+                Source::Fallback => {
+                    let run = || {
+                        let (func, stats) = fallback::spill_everything(f, profile, self.machine)
+                            .map_err(|e| e.to_string())?;
+                        Ok((func, stats, None))
+                    };
+                    (Phase::Fallback, "fallback", Box::new(run))
+                }
+            };
+        let produced = {
+            let _s = tracer.span(phase);
+            catch_unwind(AssertUnwindSafe(run))
         };
-        match cand {
-            Ok(Ok((func, stats))) => {
-                let tv = Instant::now();
-                let valid = self.validate(f, &func, tracer);
-                validate_time += tv.elapsed();
-                match valid {
-                    Ok(()) => finish!(Rung::SpillAll, func, stats, None),
-                    Err((reason, detail)) => {
-                        demote!(Rung::SpillAll, reason, detail);
-                        Err(AllocError::LadderExhausted)
-                    }
-                }
-            }
-            Ok(Err(e)) => {
-                demote!(Rung::SpillAll, ReasonCode::RungFailed, e.to_string());
-                Err(AllocError::LadderExhausted)
-            }
-            Err(e) => {
-                demote!(
-                    Rung::SpillAll,
-                    ReasonCode::Panic,
-                    format!("fallback panicked: {}", panic_msg(e))
-                );
-                Err(AllocError::LadderExhausted)
-            }
+        match produced {
+            Ok(Ok(candidate)) => Ok(candidate),
+            Ok(Err(msg)) => Err((ReasonCode::RungFailed, msg)),
+            Err(e) => Err((
+                ReasonCode::Panic,
+                format!("{what} panicked: {}", panic_msg(e)),
+            )),
         }
     }
 }
+
+/// How one ladder rung produces its candidate allocation.
+enum Source<'a> {
+    /// Rewrite a decision vector of the built model.
+    Rewrite(&'a analysis::Analysis, &'a build::BuiltModel, Vec<bool>),
+    /// Run the injected graph-coloring baseline.
+    Baseline(&'a dyn BaselineAllocator),
+    /// Spill everything.
+    Fallback,
+}
+
+/// One rung's allocation before the gate has judged it: the function,
+/// its spill accounting and, for model-derived rungs, the decision
+/// vector lifted into stable IR coordinates.
+type Candidate = (Function, SpillStats, Option<SymbolicSolution>);

@@ -15,7 +15,7 @@ use std::collections::HashMap;
 
 use regalloc_ilp::VarId;
 use regalloc_ir::{Dst, Function, Inst, Loc, Operand, PhysReg, Profile, SlotId, SymId};
-use regalloc_x86::Machine;
+use regalloc_machine::Machine;
 
 use crate::analysis::{Analysis, Event};
 use crate::build::{BuiltModel, EventVars};

@@ -20,7 +20,7 @@
 //! gap here degrades solution availability, not correctness.
 
 use regalloc_ir::{Function, PhysReg, SymId};
-use regalloc_x86::Machine;
+use regalloc_machine::Machine;
 
 use crate::analysis::Analysis;
 use crate::build::BuiltModel;

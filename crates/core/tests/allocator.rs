@@ -18,7 +18,7 @@ fn alloc_x86(f: &Function) -> RobustOutcome {
     let out = RobustAllocator::new(&m).allocate(f).expect("attempted");
     common::assert_no_defect(&out.report);
     verify_allocated(&out.func).unwrap_or_else(|e| panic!("verify: {e:?}\n{}", out.func));
-    regalloc_x86::verify_machine(&m, &out.func)
+    regalloc_machine::verify_machine(&m, &out.func)
         .unwrap_or_else(|e| panic!("machine verify: {e:?}\n{}", out.func));
     check::equivalent::<X86RegFile>(f, &out.func, 6, 0xfeed)
         .unwrap_or_else(|e| panic!("equivalence: {e}\noriginal:\n{f}\nallocated:\n{}", out.func));

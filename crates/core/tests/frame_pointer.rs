@@ -4,7 +4,8 @@
 
 use regalloc_core::{check, RobustAllocator};
 use regalloc_ir::{verify_allocated, Address, BinOp, FunctionBuilder, Loc, Operand, Width};
-use regalloc_x86::{regs, Machine, X86Machine, X86RegFile};
+use regalloc_machine::Machine;
+use regalloc_x86::{regs, X86Machine, X86RegFile};
 
 mod common;
 

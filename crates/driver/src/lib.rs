@@ -195,6 +195,17 @@ pub const SHARED_FLAGS_USAGE: &str =
   --cache-max-bytes N  LRU-evict once serialized entries exceed N bytes
                        (default unlimited)";
 
+/// Parse a seconds value given to `flag`.
+///
+/// # Errors
+///
+/// A value that is not a number, or is negative, NaN or too large for a
+/// [`Duration`]; the message names the flag.
+pub fn parse_secs(flag: &str, value: &str) -> Result<Duration, String> {
+    let secs: f64 = value.parse().map_err(|e| format!("{flag}: {e}"))?;
+    Duration::try_from_secs_f64(secs).map_err(|e| format!("{flag}: {e}"))
+}
+
 /// Parse `flag` into `cfg` if it is one of the flags listed in
 /// [`SHARED_FLAGS_USAGE`], taking its value from `args`. Returns
 /// `Ok(false)`, consuming nothing, for any other flag: the caller parses
@@ -231,10 +242,8 @@ pub fn parse_shared_flag(
             })?;
         }
         "--jobs" => cfg.jobs = number(flag, value()?)?,
-        "--function-budget" => {
-            cfg.function_budget = Duration::from_secs_f64(number(flag, value()?)?)
-        }
-        "--time-limit" => cfg.solver.time_limit = Duration::from_secs_f64(number(flag, value()?)?),
+        "--function-budget" => cfg.function_budget = parse_secs(flag, &value()?)?,
+        "--time-limit" => cfg.solver.time_limit = parse_secs(flag, &value()?)?,
         "--node-limit" => cfg.solver.node_limit = number(flag, value()?)?,
         "--lp-iter-limit" => cfg.solver.lp_iter_limit = number(flag, value()?)?,
         "--warm-starts" => {
@@ -836,6 +845,12 @@ mod tests {
             assert_eq!(err, format!("{flag} needs a value"));
             if flag != "--cache-dir" {
                 let err = parse(&[flag, "bogus"]).expect_err(flag);
+                assert!(err.starts_with(&format!("{flag}: ")), "{err}");
+            }
+        }
+        for flag in ["--function-budget", "--time-limit"] {
+            for bad in ["-1", "NaN", "inf"] {
+                let err = parse(&[flag, bad]).expect_err(bad);
                 assert!(err.starts_with(&format!("{flag}: ")), "{err}");
             }
         }

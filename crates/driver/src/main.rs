@@ -16,10 +16,9 @@
 
 use std::path::PathBuf;
 use std::process::ExitCode;
-use std::time::Duration;
 
 use regalloc_driver::{
-    parse_shared_flag, profile_report, run_suite, trace_jsonl, CacheMode, DriverConfig,
+    parse_secs, parse_shared_flag, profile_report, run_suite, trace_jsonl, CacheMode, DriverConfig,
     SuiteOutcome, SHARED_FLAGS_USAGE,
 };
 use regalloc_ir::Function;
@@ -125,10 +124,7 @@ fn parse_args(args: &[String]) -> Result<Cli, String> {
         match a.as_str() {
             "--help" | "-h" => return Err(usage()),
             "--budget-secs" => {
-                let s: f64 = value("--budget-secs")?
-                    .parse()
-                    .map_err(|e| format!("--budget-secs: {e}"))?;
-                cli.cfg.global_budget = Some(Duration::from_secs_f64(s));
+                cli.cfg.global_budget = Some(parse_secs("--budget-secs", &value("--budget-secs")?)?)
             }
             "--scale" => {
                 cli.scale = value("--scale")?
@@ -486,4 +482,26 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Cli, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn budget_secs_takes_finite_non_negative_seconds() {
+        let cli = parse(&["--budget-secs", "2.5"]).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(
+            cli.cfg.global_budget,
+            Some(std::time::Duration::from_millis(2500))
+        );
+        for bad in ["-1", "NaN", "inf"] {
+            let err = parse(&["--budget-secs", bad]).err().expect(bad);
+            assert!(err.starts_with("--budget-secs: "), "{err}");
+        }
+    }
 }

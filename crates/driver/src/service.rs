@@ -27,9 +27,11 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use regalloc_coloring::ColoringAllocator;
-use regalloc_core::{DonorSolution, FaultPlan, ReasonCode, RobustAllocator, Rung, WarmStartKind};
+use regalloc_core::{
+    AuditSummary, DonorSolution, FaultPlan, ReasonCode, RobustAllocator, Rung, WarmStartKind,
+};
 use regalloc_ir::{fingerprint, shape_vector, Function};
-use regalloc_machine::{function_size, refuses, verify_machine, Machine, TargetId};
+use regalloc_machine::{function_size, refuses, Machine, TargetId};
 use regalloc_obs::{Event, Metrics, Phase, Tracer, SIZE_BUCKETS, TIME_BUCKETS};
 
 use crate::cache::{cache_key, CacheEntry, DonorEntry, SolutionCache};
@@ -211,15 +213,19 @@ impl AllocationService {
                 // may still donate its symbolic solution.
                 let stale_deadline = hit.entry.rung != Rung::IpOptimal
                     && hit.entry.effective_deadline < cfg.function_budget;
-                // The cache's own structural re-verification has passed;
-                // the machine invariants prove the stored code encodable
-                // on this target, and the static translation validator
-                // proves it computes *this* function's values. A failure
-                // means the entry was stale or corrupt: evict and resolve.
-                let revalidation_failed = {
+                // The cache's own parse and structural check have passed.
+                // The ladder's acceptance gate, without interpreter runs and
+                // without spans (revalidation is timed as cache work),
+                // proves the stored code encodable on this target and
+                // computing *this* function's values; its analysis yields
+                // the hit's lints. A failure means the entry was stale or
+                // corrupt: evict and resolve.
+                let revalidated = {
                     let _c = tracer.time(Phase::Cache);
-                    verify_machine(machine, &hit.func).is_err()
-                        || !regalloc_lint::validate(machine, f, &hit.func).is_empty()
+                    RobustAllocator::new(machine)
+                        .with_equivalence(0, 0)
+                        .validate(f, &hit.func, &Tracer::off())
+                        .ok()
                 };
                 // Under auditing an ip-optimal hit is only as good as its
                 // proof: re-audit the persisted certificate against a
@@ -227,10 +233,10 @@ impl AllocationService {
                 // without auditing) is stale — re-solve and store one; a
                 // failing one is poison — evict and re-solve. Either way
                 // the optimality claim is never served unproven.
-                let mut hit_audit: Option<regalloc_core::AuditSummary> = None;
+                let mut hit_audit: Option<AuditSummary> = None;
                 let mut audit_stale = false;
                 let mut audit_rejected = false;
-                if !revalidation_failed
+                if revalidated.is_some()
                     && !stale_deadline
                     && cfg.audit
                     && hit.entry.rung == Rung::IpOptimal
@@ -244,33 +250,23 @@ impl AllocationService {
                     match cert {
                         None => audit_stale = true,
                         Some(cert) => {
-                            let outcome =
-                                regalloc_core::IpAllocator::new(machine).build_only(f).map(
-                                    |built| regalloc_audit::audit_certificate(&built.model, &cert),
-                                );
-                            match outcome {
-                                Ok(a) if a.verdict == regalloc_audit::Verdict::Verified => {
-                                    tracer.event(|| Event::CertificateChecked {
-                                        leaves: a.leaves_checked,
-                                    });
-                                    hit_audit = Some(regalloc_core::AuditSummary {
-                                        verdict: a.verdict,
-                                        leaves: a.leaves_checked,
-                                        code: None,
-                                        diagnostics: Vec::new(),
-                                    });
-                                }
-                                Ok(a) => {
-                                    let code = a.primary_code().unwrap_or("unknown");
-                                    tracer.event(|| Event::CertificateRejected { code });
-                                    audit_rejected = true;
+                            match regalloc_core::IpAllocator::new(machine).build_only(f) {
+                                Ok(built) => {
+                                    let outcome =
+                                        regalloc_audit::audit_certificate(&built.model, &cert);
+                                    let audit = AuditSummary::record(outcome, tracer);
+                                    if audit.code.is_none() {
+                                        hit_audit = Some(audit);
+                                    } else {
+                                        audit_rejected = true;
+                                    }
                                 }
                                 Err(_) => audit_stale = true,
                             }
                         }
                     }
                 }
-                if revalidation_failed || audit_rejected {
+                if revalidated.is_none() || audit_rejected {
                     cache.reject(key);
                     cache_outcome = Some("rejected");
                 } else if stale_deadline || audit_stale {
@@ -278,12 +274,7 @@ impl AllocationService {
                 } else {
                     budget.skip();
                     tracer.event(|| Event::CacheLookup { outcome: "hit" });
-                    let lints = if lint_on {
-                        let _l = tracer.time(Phase::Lint);
-                        regalloc_lint::lint_allocation(machine, f, &hit.func)
-                    } else {
-                        Vec::new()
-                    };
+                    let lints = revalidated.filter(|_| lint_on).unwrap_or_default();
                     note_lints(tracer, &lints);
                     let result = FunctionResult {
                         attempted: true,
@@ -356,12 +347,7 @@ impl AllocationService {
                     let _e = tracer.time(Phase::Encode);
                     function_size(machine, &out.func)
                 };
-                let lints = if lint_on {
-                    let _l = tracer.time(Phase::Lint);
-                    regalloc_lint::lint_allocation(machine, f, &out.func)
-                } else {
-                    Vec::new()
-                };
+                let lints = if lint_on { out.lints } else { Vec::new() };
                 note_lints(tracer, &lints);
                 let reasons: Vec<ReasonCode> =
                     out.report.demotions.iter().map(|d| d.reason).collect();

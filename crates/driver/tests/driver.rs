@@ -154,13 +154,7 @@ fn poisoned_cache_entry_is_detected_and_resolved() {
         if poisoned == text {
             continue;
         }
-        // Recompute the checksum over the tampered payload (everything
-        // after the `check` line) exactly as the cache does.
-        let mut lines: Vec<&str> = poisoned.lines().collect();
-        let payload = lines[2..].join("\n") + "\n";
-        let stamp = format!("check {:016x}", regalloc_driver::cache::checksum(&payload));
-        lines[1] = &stamp;
-        std::fs::write(&path, lines.join("\n") + "\n").unwrap();
+        write_restamped(&path, &poisoned);
         tampered += 1;
     }
     assert!(tampered > 0, "expected to tamper at least one cache entry");
@@ -174,6 +168,123 @@ fn poisoned_cache_entry_is_detected_and_resolved() {
         observables(&cold),
         observables(&rerun),
         "rejected entries must be re-solved to the same allocations"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Write a tampered cache entry with its checksum recomputed over the
+/// payload (everything after the `check` line) exactly as the cache
+/// does, so only the checks that follow the checksum can catch it.
+fn write_restamped(path: &std::path::Path, text: &str) {
+    let mut lines: Vec<&str> = text.lines().collect();
+    let payload = lines[2..].join("\n") + "\n";
+    let stamp = format!("check {:016x}", regalloc_driver::cache::checksum(&payload));
+    lines[1] = &stamp;
+    std::fs::write(path, lines.join("\n") + "\n").unwrap();
+}
+
+/// The stored entry with the first immediate source operand of its
+/// allocated code incremented, and the entry's body fingerprint; `None`
+/// when the code has no immediate operand.
+fn bump_first_immediate(entry: &str) -> Option<(String, String)> {
+    let fp = entry
+        .lines()
+        .find_map(|l| l.strip_prefix("fp "))?
+        .to_string();
+    let code = entry.find("\nfunc ")?;
+    let at = code + entry[code..].find(", #")? + ", #".len();
+    let len = entry[at..]
+        .find(|c: char| c != '-' && !c.is_ascii_digit())
+        .unwrap_or(entry.len() - at);
+    let imm: i64 = entry[at..at + len].parse().ok()?;
+    let bumped = format!("{}{}{}", &entry[..at], imm + 1, &entry[at + len..]);
+    Some((bumped, fp))
+}
+
+#[test]
+fn a_semantically_wrong_cache_hit_is_rejected_and_resolved() {
+    let dir = tempdir("wrong-imm");
+    let funcs = suite50();
+    let cfg = DriverConfig {
+        target: regalloc_machine::TargetId::X86Pentium,
+        jobs: 2,
+        cache: CacheMode::Disk(dir.clone()),
+        ..fast_config()
+    };
+    let cold = run_suite(&funcs, &cfg);
+
+    // Change one immediate operand of one stored allocation. The entry
+    // still parses and passes `verify_allocated` and `verify_machine`;
+    // only the static translation validator can tell that it computes a
+    // different value.
+    let mut paths: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .filter(|p| p.extension().is_some_and(|x| x == "alloc"))
+        .collect();
+    paths.sort();
+    let tampered_fp = paths
+        .iter()
+        .find_map(|path| {
+            let (wrong, fp) = bump_first_immediate(&std::fs::read_to_string(path).unwrap())?;
+            write_restamped(path, &wrong);
+            Some(fp)
+        })
+        .expect("some stored allocation has an immediate operand");
+
+    let warm = run_suite(&funcs, &cfg);
+    assert!(
+        warm.stats.cache_rejected >= 1,
+        "the gate must reject the wrong entry"
+    );
+    assert!(
+        funcs
+            .iter()
+            .zip(&warm.results)
+            .any(|(f, r)| { regalloc_ir::fingerprint_hex(f) == tampered_fp && !r.cache_hit }),
+        "the function of the wrong entry must be re-solved"
+    );
+    assert_eq!(
+        observables(&cold),
+        observables(&warm),
+        "the re-solve must reproduce the cold run"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn lints_match_on_fresh_solves_and_cache_hits() {
+    let dir = tempdir("lints");
+    let funcs = suite50();
+    let cfg = DriverConfig {
+        target: regalloc_machine::TargetId::X86Pentium,
+        jobs: 2,
+        cache: CacheMode::Disk(dir.clone()),
+        lint: true,
+        ..fast_config()
+    };
+    let cold = run_suite(&funcs, &cfg);
+    let warm = run_suite(&funcs, &cfg);
+    assert_eq!(
+        warm.stats.cache_hits, warm.stats.attempted,
+        "the warm run serves every function from the cache"
+    );
+    let machine = regalloc_core::targets::machine_for(cfg.target);
+    for ((f, fresh), hit) in funcs.iter().zip(&cold.results).zip(&warm.results) {
+        assert_eq!(
+            fresh.lints,
+            hit.lints,
+            "{}: lints of fresh solve and hit",
+            f.name()
+        );
+        if let Some(func) = &fresh.func {
+            let direct = regalloc_lint::lint_allocation(machine.as_ref(), f, func);
+            assert_eq!(fresh.lints, direct, "{}: served lints", f.name());
+        }
+    }
+    assert!(
+        cold.results.iter().any(|r| !r.lints.is_empty()),
+        "the suite must produce some lints"
     );
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -32,14 +32,6 @@ impl Loc {
             Loc::Real(_) => None,
         }
     }
-
-    /// The physical register, if this operand has been allocated.
-    pub fn as_real(self) -> Option<PhysReg> {
-        match self {
-            Loc::Real(r) => Some(r),
-            Loc::Sym(_) => None,
-        }
-    }
 }
 
 /// A source operand.
@@ -70,11 +62,6 @@ impl Operand {
             Operand::Loc(l) => Some(l),
             _ => None,
         }
-    }
-
-    /// True if this operand is an immediate.
-    pub fn is_imm(self) -> bool {
-        matches!(self, Operand::Imm(_))
     }
 }
 

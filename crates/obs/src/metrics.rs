@@ -306,16 +306,6 @@ impl Metrics {
         self.histograms.get(&key(name, labels))
     }
 
-    pub fn histogram_family<'a>(
-        &'a self,
-        name: &'a str,
-    ) -> impl Iterator<Item = (&'a str, &'a Histogram)> + 'a {
-        self.histograms
-            .iter()
-            .filter(move |(k, _)| family(k) == name)
-            .map(|(k, h)| (k.as_str(), h))
-    }
-
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, v)| (k.as_str(), *v))
     }

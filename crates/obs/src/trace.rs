@@ -40,8 +40,6 @@ pub enum Phase {
     Fallback,
     /// Machine-code size estimation.
     Encode,
-    /// Quality lint pass.
-    Lint,
     /// Solution-cache lookup and revalidation.
     Cache,
     /// Certificate auditing (exact-rational proof checking).
@@ -49,7 +47,7 @@ pub enum Phase {
 }
 
 impl Phase {
-    pub const ALL: [Phase; 14] = [
+    pub const ALL: [Phase; 13] = [
         Phase::Build,
         Phase::Solve,
         Phase::Presolve,
@@ -61,7 +59,6 @@ impl Phase {
         Phase::Baseline,
         Phase::Fallback,
         Phase::Encode,
-        Phase::Lint,
         Phase::Cache,
         Phase::Audit,
     ];
@@ -79,7 +76,6 @@ impl Phase {
             Phase::Baseline => "baseline",
             Phase::Fallback => "fallback",
             Phase::Encode => "encode",
-            Phase::Lint => "lint",
             Phase::Cache => "cache",
             Phase::Audit => "audit",
         }

@@ -15,7 +15,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use regalloc_driver::{parse_shared_flag, SHARED_FLAGS_USAGE};
+use regalloc_driver::{parse_secs, parse_shared_flag, SHARED_FLAGS_USAGE};
 use regalloc_serve::{
     run_soak, scrape_metrics, AllocOptions, Client, ServeConfig, Server, SoakConfig,
 };
@@ -85,7 +85,8 @@ fn next_val(it: &mut std::slice::Iter<'_, String>, flag: &str) -> Result<String,
         .ok_or_else(|| format!("{flag} needs a value"))
 }
 
-fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
+/// Parse the `serve` subcommand's flags.
+fn parse_serve_args(args: &[String]) -> Result<ServeConfig, String> {
     let mut cfg = ServeConfig {
         addr: "127.0.0.1:0".to_string(),
         ..ServeConfig::default()
@@ -113,10 +114,10 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
                     .map_err(|e| format!("--max-payload: {e}"))?
             }
             "--client-capacity" => {
-                let s: f64 = next_val(&mut it, "--client-capacity")?
-                    .parse()
-                    .map_err(|e| format!("--client-capacity: {e}"))?;
-                cfg.client_capacity = Duration::from_secs_f64(s);
+                cfg.client_capacity = parse_secs(
+                    "--client-capacity",
+                    &next_val(&mut it, "--client-capacity")?,
+                )?
             }
             "--client-refill" => {
                 cfg.client_refill = next_val(&mut it, "--client-refill")?
@@ -124,15 +125,17 @@ fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
                     .map_err(|e| format!("--client-refill: {e}"))?
             }
             "--drain-grace" => {
-                let s: f64 = next_val(&mut it, "--drain-grace")?
-                    .parse()
-                    .map_err(|e| format!("--drain-grace: {e}"))?;
-                cfg.drain_grace = Duration::from_secs_f64(s);
+                cfg.drain_grace = parse_secs("--drain-grace", &next_val(&mut it, "--drain-grace")?)?
             }
             "--log" => cfg.log_path = Some(PathBuf::from(next_val(&mut it, "--log")?)),
             other => return Err(format!("serve: unknown option {other}\n\n{}", usage())),
         }
     }
+    Ok(cfg)
+}
+
+fn cmd_serve(args: &[String]) -> Result<ExitCode, String> {
+    let mut cfg = parse_serve_args(args)?;
     install_sigterm();
     cfg.stop = Some(Arc::new(AtomicBool::new(false)));
     let stop = Arc::clone(cfg.stop.as_ref().unwrap());
@@ -325,6 +328,29 @@ fn main() -> ExitCode {
         Err(msg) => {
             eprintln!("{msg}");
             ExitCode::FAILURE
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<ServeConfig, String> {
+        parse_serve_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn seconds_flags_take_finite_non_negative_seconds() {
+        let cfg = parse(&["--client-capacity", "1.5", "--drain-grace", "0.25"])
+            .unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(cfg.client_capacity, Duration::from_millis(1500));
+        assert_eq!(cfg.drain_grace, Duration::from_millis(250));
+        for flag in ["--client-capacity", "--drain-grace"] {
+            for bad in ["-1", "NaN", "inf"] {
+                let err = parse(&[flag, bad]).err().expect(bad);
+                assert!(err.starts_with(&format!("{flag}: ")), "{err}");
+            }
         }
     }
 }

@@ -149,10 +149,8 @@ struct State {
     zero_grants: AtomicBool,
     accepted: AtomicU64,
     responded: AtomicU64,
-    busy: AtomicU64,
     drained_away: AtomicU64,
     errors: AtomicU64,
-    panics: AtomicU64,
     inflight_estimate: AtomicUsize,
     connections: AtomicUsize,
     log: Option<Mutex<std::fs::File>>,
@@ -252,10 +250,8 @@ impl Server {
             zero_grants: AtomicBool::new(false),
             accepted: AtomicU64::new(0),
             responded: AtomicU64::new(0),
-            busy: AtomicU64::new(0),
             drained_away: AtomicU64::new(0),
             errors: AtomicU64::new(0),
-            panics: AtomicU64::new(0),
             inflight_estimate: AtomicUsize::new(0),
             connections: AtomicUsize::new(0),
             log,
@@ -338,10 +334,10 @@ impl Server {
         let report = ServeReport {
             accepted: state.accepted.load(Ordering::SeqCst),
             responded: state.responded.load(Ordering::SeqCst),
-            busy: state.busy.load(Ordering::SeqCst),
+            busy: state.metrics.counter("serve_busy_total", &[]),
             drained_away: state.drained_away.load(Ordering::SeqCst),
             errors: state.errors.load(Ordering::SeqCst),
-            panics: state.panics.load(Ordering::SeqCst),
+            panics: state.metrics.counter("serve_panics_total", &[]),
         };
         state.log_line(&[
             ("event", "drained".to_string()),
@@ -655,7 +651,7 @@ fn handle_frame(
                 .field("uptime_ms", state.started.elapsed().as_millis() as u64)
                 .field("accepted", state.accepted.load(Ordering::SeqCst))
                 .field("responded", state.responded.load(Ordering::SeqCst))
-                .field("busy", state.busy.load(Ordering::SeqCst))
+                .field("busy", state.metrics.counter("serve_busy_total", &[]))
                 .field("errors", state.errors.load(Ordering::SeqCst))
                 .field("queued", state.pool.queued() as u64)
                 .field("active", state.pool.active() as u64)
@@ -745,7 +741,6 @@ fn handle_alloc(
     if pending >= state.cfg_max_queue
         || est_inflight.saturating_add(estimate) > state.cfg_max_estimate
     {
-        state.busy.fetch_add(1, Ordering::SeqCst);
         state.metrics.inc("serve_busy_total", &[], 1);
         // Hint scales with the backlog: deeper queue, longer back-off.
         let retry_ms = 25u64.saturating_mul(pending.max(1) as u64).min(2_000);
@@ -878,7 +873,6 @@ fn run_alloc_job(
             }
         }
         Err(panic) => {
-            state.panics.fetch_add(1, Ordering::SeqCst);
             state.errors.fetch_add(1, Ordering::SeqCst);
             state.metrics.inc("serve_panics_total", &[], 1);
             let msg = panic

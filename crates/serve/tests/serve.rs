@@ -161,7 +161,12 @@ fn admission_control_sheds_load_with_busy_and_a_retry_hint() {
         busy > 0,
         "a 2-deep queue fed 12 pipelined requests must shed"
     );
-    drain_and_join(&addr, server);
+    let report = drain_and_join(&addr, server);
+    assert_eq!(
+        report.busy,
+        u64::from(busy),
+        "the report counts every BUSY reply"
+    );
 }
 
 #[test]

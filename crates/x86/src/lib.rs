@@ -7,7 +7,7 @@
 //! memory operands, and instruction-encoding irregularities that make some
 //! register choices cheaper than others.
 //!
-//! This crate captures all of that behind the [`Machine`] trait:
+//! This crate captures all of that behind the [`Machine`](regalloc_machine::Machine) trait:
 //!
 //! * [`X86Machine`] — the irregular model: 6 allocatable 32-bit registers
 //!   (optionally 7 with the frame pointer freed, and 8 with ESP), the full
@@ -29,10 +29,5 @@ pub mod regs;
 pub mod risc;
 pub mod x86;
 
-// The machine abstraction itself lives in `regalloc-machine`; re-exported
-// here so existing `regalloc_x86::Machine` paths keep working.
-pub use regalloc_machine::{
-    verify_machine, Machine, MachineError, MachineErrorKind, OperandConstraint, SpillCosts,
-};
 pub use risc::{RiscMachine, RiscRegFile};
 pub use x86::{X86Machine, X86RegFile};

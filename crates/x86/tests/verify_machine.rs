@@ -7,8 +7,9 @@
 use regalloc_ir::{
     BinOp, Dst, Function, FunctionBuilder, Inst, Loc, Operand, PhysReg, SlotId, UnOp, Width,
 };
+use regalloc_machine::{verify_machine, MachineErrorKind};
 use regalloc_x86::regs::{AL, EAX, EBX, ECX};
-use regalloc_x86::{verify_machine, MachineErrorKind, X86Machine};
+use regalloc_x86::X86Machine;
 
 fn real(r: PhysReg) -> Operand {
     Operand::Loc(Loc::Real(r))

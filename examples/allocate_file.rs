@@ -15,7 +15,8 @@ use std::io::Read;
 
 use precise_regalloc::core::{check, RobustAllocator};
 use precise_regalloc::ir::{parse_function, verify_function};
-use precise_regalloc::x86::{verify_machine, X86Machine, X86RegFile};
+use precise_regalloc::x86::{X86Machine, X86RegFile};
+use regalloc_machine::verify_machine;
 
 fn main() {
     let mut text = String::new();

@@ -27,12 +27,15 @@ import sys
 PHASES = {
     "build", "solve", "presolve", "simplex", "rewrite", "verify",
     "static-validate", "interp-check", "baseline", "fallback", "encode",
-    "lint", "cache", "audit",
+    "cache", "audit",
 }
 CACHE_OUTCOMES = {"hit", "miss", "stale", "rejected"}
 RUNGS = {"ip-optimal", "ip-incumbent", "warm-start", "coloring", "spill-all"}
 WARM_KINDS = {"none", "exact", "projected"}
-NODE_OUTCOMES = {"branched", "pruned", "integral", "infeasible", "abandoned"}
+NODE_OUTCOMES = {
+    "branched", "pruned", "integral", "integral-invalid", "infeasible",
+    "lp-infeasible", "abandoned",
+}
 SOLVE_STATUSES = {"optimal", "feasible", "infeasible", "unknown", "numerical-trouble"}
 
 def is_u64(v):

@@ -63,7 +63,7 @@ fn check_suite(benchmark: Benchmark, scale: f64, seed: u64) {
             .unwrap_or_else(|e| panic!("{}: {e}", f.name()));
         assert_no_defect(&out.report);
         verify_allocated(&out.func).unwrap_or_else(|e| panic!("{}: {e:?}", f.name()));
-        precise_regalloc::x86::verify_machine(&machine, &out.func)
+        regalloc_machine::verify_machine(&machine, &out.func)
             .unwrap_or_else(|e| panic!("IP machine verify {}: {e:?}\n{}", f.name(), out.func));
         check::equivalent::<X86RegFile>(f, &out.func, 3, seed).unwrap_or_else(|e| {
             panic!(
@@ -75,7 +75,7 @@ fn check_suite(benchmark: Benchmark, scale: f64, seed: u64) {
 
         let cout = gc.allocate(f).unwrap();
         verify_allocated(&cout.func).unwrap_or_else(|e| panic!("{}: {e:?}", f.name()));
-        precise_regalloc::x86::verify_machine(&machine, &cout.func)
+        regalloc_machine::verify_machine(&machine, &cout.func)
             .unwrap_or_else(|e| panic!("GC machine verify {}: {e:?}\n{}", f.name(), cout.func));
         check::equivalent::<X86RegFile>(f, &cout.func, 3, seed).unwrap_or_else(|e| {
             panic!(
