@@ -16,7 +16,7 @@
 //!    allocations are provably the cost-model minimum.
 
 use regalloc_bench::{ratio, run_all, DegradationSummary, Options};
-use regalloc_core::SpillStats;
+use regalloc_core::{CostModel, SpillStats};
 use regalloc_driver::FunctionResult;
 
 fn print_block(title: &str, rows: &[&FunctionResult]) {
@@ -68,12 +68,13 @@ fn print_block(title: &str, rows: &[&FunctionResult]) {
         "spill code size: IP {} bytes, GCC {} bytes (whole functions: {ipb} vs {gcb})",
         ip.code_bytes, gc.code_bytes
     );
-    // eq. (1) exactly as the paper computes it: Table 3's dynamic counts
-    // weighted by Table 1's cycle costs, plus B × the static spill-code
-    // bytes.
-    let e1_ip = ic + 1000 * ip.code_bytes;
-    let e1_gc = gcx + 1000 * gc.code_bytes;
-    println!("eq.(1) overhead (B = 1000): IP {e1_ip}, GCC {e1_gc}");
+    // eq. (1) exactly as the paper computes it, with the IP model's
+    // weights: Table 3's dynamic counts weighted by Table 1's cycle costs,
+    // plus B × the static spill-code bytes.
+    let w = CostModel::paper();
+    let e1_ip = w.cycle_weight * ic + w.b * ip.code_bytes;
+    let e1_gc = w.cycle_weight * gcx + w.b * gc.code_bytes;
+    println!("eq.(1) overhead (B = {}): IP {e1_ip}, GCC {e1_gc}", w.b);
     if e1_gc > 0 {
         println!(
             "the IP allocator changes register-allocation overhead by {:+.0}%",

@@ -263,7 +263,7 @@ impl Graph {
 fn profile_weight(cfg: &Cfg, b: regalloc_ir::BlockId) -> u64 {
     // The caller has a real Profile; using reachability-only weights here
     // keeps the graph build independent. Spill ordering only needs a
-    // rough priority; exact Table 3 numbers come from the stats counters.
+    // rough priority; exact Table 3 numbers come from `SpillStats::measure`.
     if cfg.is_reachable(b) {
         1
     } else {

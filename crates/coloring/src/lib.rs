@@ -22,9 +22,9 @@
 //! * encoding irregularities (§5.4) are ignored entirely — register
 //!   choice follows a fixed preference order.
 //!
-//! The output is checked by the same machinery as the IP allocator's:
-//! structural verification plus interpreter equivalence, and the same
-//! [`SpillStats`] accounting feeds the Table 3 comparison.
+//! The output is checked by the same machinery as the IP allocator's, and
+//! its [`SpillStats`] are counted from the emitted code by the same
+//! [`SpillStats::measure`] that counts the IP allocator's for Table 3.
 
 use std::collections::HashMap;
 
@@ -94,13 +94,11 @@ impl<'m, M: Machine + ?Sized> ColoringAllocator<'m, M> {
         f: &Function,
         profile: &Profile,
     ) -> Result<ColoringOutcome, AllocError> {
-        let mut stats = SpillStats::default();
         let mut work = f.clone();
-        let sc = *self.machine.spill_costs();
 
         // Phase 0: the traditional lowering pre-pass.
         let mut pins: HashMap<SymId, Vec<PhysReg>> = HashMap::new();
-        prepass::run(&mut work, self.machine, profile, &mut pins, &mut stats);
+        prepass::run(&mut work, self.machine, &mut pins);
 
         let mut no_respill: Vec<bool> = vec![false; work.num_syms()];
         for r in 0..self.max_rounds {
@@ -109,10 +107,10 @@ impl<'m, M: Machine + ?Sized> ColoringAllocator<'m, M> {
             let graph = Graph::build(&work, &cfg, &live, self.machine, &pins);
             match graph.color(self.machine, &work, profile) {
                 Ok(assignment) => {
-                    let func = rewrite(&work, &assignment, &graph, profile, &sc, &mut stats);
+                    let func = rewrite(&work, &assignment, &graph);
                     return Ok(ColoringOutcome {
+                        stats: SpillStats::measure(f, &func, profile, self.machine),
                         func,
-                        stats,
                         rounds: r + 1,
                     });
                 }
@@ -124,25 +122,17 @@ impl<'m, M: Machine + ?Sized> ColoringAllocator<'m, M> {
                     if spillable.is_empty() {
                         break; // only unspillable temporaries failed
                     }
-                    spill(
-                        &mut work,
-                        &spillable,
-                        self.machine,
-                        profile,
-                        &mut no_respill,
-                        &mut pins,
-                        &mut stats,
-                    );
+                    spill(&mut work, &spillable, &mut no_respill, &mut pins);
                     no_respill.resize(work.num_syms(), true);
                 }
             }
         }
         // Pathological fallback (mirrors GCC's last-resort reload pass).
-        let (func, fstats) =
+        let (func, stats) =
             fallback::spill_everything(f, profile, self.machine).map_err(AllocError::Fallback)?;
         Ok(ColoringOutcome {
             func,
-            stats: fstats,
+            stats,
             rounds: self.max_rounds,
         })
     }
@@ -161,16 +151,12 @@ impl<'m, M: Machine + ?Sized> regalloc_core::BaselineAllocator for ColoringAlloc
 }
 
 /// Insert spill-everywhere code for the chosen symbolics.
-fn spill<M: Machine + ?Sized>(
+fn spill(
     work: &mut Function,
     spills: &[SymId],
-    machine: &M,
-    profile: &Profile,
     no_respill: &mut Vec<bool>,
     pins: &mut HashMap<SymId, Vec<PhysReg>>,
-    stats: &mut SpillStats,
 ) {
-    let sc = *machine.spill_costs();
     // Rematerialisation candidates: single constant definition.
     let mut def_count: HashMap<SymId, u32> = HashMap::new();
     let mut remat_val: HashMap<SymId, i64> = HashMap::new();
@@ -192,17 +178,13 @@ fn spill<M: Machine + ?Sized>(
             .flatten();
         let slot = (remat.is_none()).then(|| work.add_slot(width, None));
         for b in work.block_ids() {
-            let freq = profile.freq(b) as i64;
             let insts = std::mem::take(&mut work.block_mut(b).insts);
             let mut out = Vec::with_capacity(insts.len() + 4);
             for inst in insts {
                 let uses_s = inst.sym_uses().iter().any(|(u, _)| *u == s);
                 let defs_s = inst.sym_def() == Some(s);
-                if let (Some(imm), true, false) = (remat, defs_s, uses_s) {
+                if remat.is_some() && defs_s && !uses_s {
                     // Delete the rematerialisable definition entirely.
-                    let _ = imm;
-                    stats.remats -= freq;
-                    stats.code_bytes -= sc.remat_bytes as i64;
                     continue;
                 }
                 if !uses_s && !defs_s {
@@ -224,8 +206,6 @@ fn spill<M: Machine + ?Sized>(
                                 imm,
                                 width,
                             });
-                            stats.remats += freq;
-                            stats.code_bytes += sc.remat_bytes as i64;
                         }
                         None => {
                             out.push(Inst::SpillLoad {
@@ -233,8 +213,6 @@ fn spill<M: Machine + ?Sized>(
                                 slot: slot.unwrap(),
                                 width,
                             });
-                            stats.loads += freq;
-                            stats.code_bytes += sc.load_bytes as i64;
                         }
                     }
                 }
@@ -253,8 +231,6 @@ fn spill<M: Machine + ?Sized>(
                                 src: Loc::Sym(t),
                                 width,
                             });
-                            stats.stores += freq;
-                            stats.code_bytes += sc.store_bytes as i64;
                         }
                         None => {
                             // Rematerialisable value defined and used by
@@ -270,17 +246,9 @@ fn spill<M: Machine + ?Sized>(
 }
 
 /// Apply the coloring: substitute registers, delete same-register copies.
-fn rewrite(
-    work: &Function,
-    assignment: &HashMap<SymId, PhysReg>,
-    graph: &Graph,
-    profile: &Profile,
-    sc: &regalloc_machine::SpillCosts,
-    stats: &mut SpillStats,
-) -> Function {
+fn rewrite(work: &Function, assignment: &HashMap<SymId, PhysReg>, graph: &Graph) -> Function {
     let mut nf = work.clone();
     for b in work.block_ids() {
-        let freq = profile.freq(b) as i64;
         let insts = std::mem::take(&mut nf.block_mut(b).insts);
         let mut out = Vec::with_capacity(insts.len());
         for mut inst in insts {
@@ -296,8 +264,6 @@ fn rewrite(
             });
             if let Inst::Copy { dst, src, .. } = &inst {
                 if dst == src {
-                    stats.copies -= freq;
-                    stats.code_bytes -= sc.copy_bytes as i64;
                     continue;
                 }
             }

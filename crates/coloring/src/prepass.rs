@@ -20,20 +20,16 @@
 
 use std::collections::HashMap;
 
-use regalloc_core::SpillStats;
-use regalloc_ir::{Function, Inst, Liveness, Loc, Operand, PhysReg, Profile, SymId, UseRole};
+use regalloc_ir::{Function, Inst, Liveness, Loc, Operand, PhysReg, SymId, UseRole};
 use regalloc_machine::Machine;
 
 /// Run the pre-pass over `work` in place, recording register pins for new
-/// temporaries and counting inserted copies into `stats`.
+/// temporaries.
 pub fn run<M: Machine + ?Sized>(
     work: &mut Function,
     machine: &M,
-    profile: &Profile,
     pins: &mut HashMap<SymId, Vec<PhysReg>>,
-    stats: &mut SpillStats,
 ) {
-    let sc = *machine.spill_costs();
     let cfg = regalloc_ir::Cfg::new(work);
     let live = Liveness::new(work, &cfg);
     // Symbols created below (pin-copy and shelter temporaries) postdate
@@ -42,7 +38,6 @@ pub fn run<M: Machine + ?Sized>(
     let n_live = work.num_syms();
 
     for b in work.block_ids() {
-        let freq = profile.freq(b) as i64;
         let live_before = live.live_before_insts(work, b);
         let live_out = live.live_out(b).clone();
         let insts = std::mem::take(&mut work.block_mut(b).insts);
@@ -77,8 +72,6 @@ pub fn run<M: Machine + ?Sized>(
                     src: Loc::Sym(s),
                     width: w,
                 });
-                stats.copies += freq;
-                stats.code_bytes += sc.copy_bytes as i64;
                 // Replace exactly the pinned occurrence.
                 let mut k = 0;
                 let target = role;
@@ -121,8 +114,6 @@ pub fn run<M: Machine + ?Sized>(
                         src: Loc::Sym(t),
                         width,
                     });
-                    stats.copies += freq;
-                    stats.code_bytes += sc.copy_bytes as i64;
                     continue;
                 }
             }
@@ -168,8 +159,6 @@ pub fn run<M: Machine + ?Sized>(
                                     src: Loc::Sym(d),
                                     width: *width,
                                 });
-                                stats.copies += freq;
-                                stats.code_bytes += sc.copy_bytes as i64;
                                 *rhs = Operand::sym(t);
                             }
                         }
@@ -211,8 +200,6 @@ pub fn run<M: Machine + ?Sized>(
                                     src: Loc::Sym(s),
                                     width: *width,
                                 });
-                                stats.copies += freq;
-                                stats.code_bytes += sc.copy_bytes as i64;
                                 *lhs = Operand::sym(d);
                             }
                             None => {
@@ -243,8 +230,6 @@ pub fn run<M: Machine + ?Sized>(
                                     src: Loc::Sym(*s),
                                     width: *width,
                                 });
-                                stats.copies += freq;
-                                stats.code_bytes += sc.copy_bytes as i64;
                                 *src = Operand::sym(d);
                             }
                         }

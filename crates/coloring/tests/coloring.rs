@@ -4,8 +4,10 @@
 use regalloc_coloring::ColoringAllocator;
 use regalloc_core::check;
 use regalloc_ir::{
-    verify_allocated, BinOp, Cond, Function, FunctionBuilder, Inst, Loc, Operand, UnOp, Width,
+    verify_allocated, BinOp, Cfg, Cond, Function, FunctionBuilder, Inst, Loc, LoopInfo, Operand,
+    Profile, UnOp, Width,
 };
+use regalloc_x86::x86::PENTIUM_COSTS;
 use regalloc_x86::{RiscMachine, RiscRegFile, X86Machine, X86RegFile};
 
 fn alloc_x86(f: &Function) -> regalloc_coloring::ColoringOutcome {
@@ -224,6 +226,49 @@ fn rematerialisation_on_spill() {
     // Spilling happened; at least nothing stored a rematerialisable
     // constant.
     assert!(out.stats.total_insts() > 0);
+}
+
+#[test]
+fn immediate_left_operand_load_is_counted() {
+    // `d = 5 − i` in a loop body: the two-address pre-pass loads the
+    // constant into `d` first (`d = 5; d = d − i`), and that constant
+    // load is spill code the baseline is charged for, once per iteration.
+    let mut b = FunctionBuilder::new("imm_lhs");
+    let i = b.new_sym(Width::B32);
+    let d = b.new_sym(Width::B32);
+    let head = b.block();
+    let body = b.block();
+    let exit = b.block();
+    b.load_imm(i, 0);
+    b.load_imm(d, 0);
+    b.jump(head);
+    b.switch_to(head);
+    b.branch(
+        Cond::Lt,
+        Operand::sym(i),
+        Operand::Imm(3),
+        Width::B32,
+        body,
+        exit,
+    );
+    b.switch_to(body);
+    b.bin(BinOp::Sub, d, Operand::Imm(5), Operand::sym(i));
+    b.bin(BinOp::Add, i, Operand::sym(i), Operand::Imm(1));
+    b.jump(head);
+    b.switch_to(exit);
+    b.ret(Some(d)); // 3
+    let f = b.finish();
+    let out = alloc_x86(&f);
+    let cfg = Cfg::new(&f);
+    let profile = Profile::estimate(&f, &cfg, &LoopInfo::new(&f, &cfg));
+    let sc = PENTIUM_COSTS;
+    assert_eq!(out.stats.remats, profile.freq(body) as i64, "{}", out.func);
+    assert_eq!(
+        out.stats.code_bytes,
+        sc.remat_bytes as i64 + sc.copy_bytes as i64 * out.stats.copies,
+        "{:?}",
+        out.stats
+    );
 }
 
 #[test]

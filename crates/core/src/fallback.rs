@@ -67,8 +67,6 @@ pub fn spill_everything<M: Machine + ?Sized>(
     machine: &M,
 ) -> Result<(Function, SpillStats), FallbackError> {
     let mut nf = f.clone();
-    let mut stats = SpillStats::default();
-    let sc = *machine.spill_costs();
     let mut slots: HashMap<SymId, SlotId> = HashMap::new();
     let mut slot_of = |s: SymId, nf: &mut Function| -> SlotId {
         *slots
@@ -77,7 +75,6 @@ pub fn spill_everything<M: Machine + ?Sized>(
     };
 
     for b in f.block_ids() {
-        let freq = profile.freq(b) as i64;
         let mut out: Vec<Inst> = Vec::new();
         for inst in &f.block(b).insts {
             let mut new = inst.clone();
@@ -181,8 +178,6 @@ pub fn spill_everything<M: Machine + ?Sized>(
                     slot,
                     width: f.sym_width(s),
                 });
-                stats.loads += freq;
-                stats.code_bytes += sc.load_bytes as i64;
             }
 
             // Apply: use occurrences in visit order, then the definition.
@@ -216,11 +211,10 @@ pub fn spill_everything<M: Machine + ?Sized>(
                     src: Loc::Real(def_reg.unwrap()),
                     width: f.sym_width(d),
                 });
-                stats.stores += freq;
-                stats.code_bytes += sc.store_bytes as i64;
             }
         }
         nf.block_mut(b).insts = out;
     }
+    let stats = SpillStats::measure(f, &nf, profile, machine);
     Ok((nf, stats))
 }

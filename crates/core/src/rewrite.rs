@@ -7,9 +7,6 @@
 //! variables are 1; deletable copies and the defining loads of §5.5
 //! predefined memory symbolic registers are removed; §5.2 memory operands
 //! are folded into their instructions.
-//!
-//! The module also accumulates the [`SpillStats`] that feed the paper's
-//! Table 3 comparison.
 
 use std::collections::HashMap;
 
@@ -22,7 +19,7 @@ use crate::build::{BuiltModel, EventVars};
 use crate::stats::SpillStats;
 
 /// Apply the solver's assignment to `f`, producing the allocated function
-/// and its spill accounting.
+/// and its spill accounting ([`SpillStats::measure`]).
 ///
 /// # Panics
 ///
@@ -37,27 +34,25 @@ pub fn apply<M: Machine + ?Sized>(
     values: &[bool],
     machine: &M,
 ) -> (Function, SpillStats) {
-    Rewriter {
+    let nf = Rewriter {
         f,
-        profile,
         a,
         built,
         values,
         machine,
-        stats: SpillStats::default(),
         slots: HashMap::new(),
     }
-    .run()
+    .run();
+    let stats = SpillStats::measure(f, &nf, profile, machine);
+    (nf, stats)
 }
 
 struct Rewriter<'a, M: ?Sized> {
     f: &'a Function,
-    profile: &'a Profile,
     a: &'a Analysis,
     built: &'a BuiltModel,
     values: &'a [bool],
     machine: &'a M,
-    stats: SpillStats,
     slots: HashMap<SymId, SlotId>,
 }
 
@@ -106,13 +101,11 @@ impl<'a, M: Machine + ?Sized> Rewriter<'a, M> {
         sl
     }
 
-    fn run(mut self) -> (Function, SpillStats) {
+    fn run(mut self) -> Function {
         let mut nf = self.f.clone();
-        let sc = *self.machine.spill_costs();
 
         for b in self.f.block_ids() {
             let mut out: Vec<Inst> = Vec::new();
-            let freq = self.profile.freq(b);
             let groups = &self.a.block_groups[b.index()];
             let mut gi = 0;
 
@@ -134,13 +127,11 @@ impl<'a, M: Machine + ?Sized> Rewriter<'a, M> {
                             src: Loc::Real(src),
                             width: self.f.sym_width(e.sym),
                         });
-                        self.stats.stores += freq as i64;
-                        self.stats.code_bytes += sc.store_bytes as i64;
                     }
                 }
                 for &ei in &group.events {
                     let (e, ev) = (&self.a.events[ei], &self.built.events[ei]);
-                    self.emit_loads(e, ev, freq, &mut nf, &mut out);
+                    self.emit_loads(e, ev, &mut nf, &mut out);
                 }
             }
 
@@ -176,8 +167,6 @@ impl<'a, M: Machine + ?Sized> Rewriter<'a, M> {
                             src: Loc::Real(src),
                             width: self.f.sym_width(e.sym),
                         });
-                        self.stats.stores += freq as i64;
-                        self.stats.code_bytes += sc.store_bytes as i64;
                     }
                 }
                 for &ei in &group.events {
@@ -191,14 +180,12 @@ impl<'a, M: Machine + ?Sized> Rewriter<'a, M> {
                                 src: Loc::Real(src),
                                 width: self.f.sym_width(e.sym),
                             });
-                            self.stats.copies += freq as i64;
-                            self.stats.code_bytes += sc.copy_bytes as i64;
                         }
                     }
                 }
                 for &ei in &group.events {
                     let (e, ev) = (&self.a.events[ei], &self.built.events[ei]);
-                    self.emit_loads(e, ev, freq, &mut nf, &mut out);
+                    self.emit_loads(e, ev, &mut nf, &mut out);
                 }
 
                 // The instruction itself.
@@ -207,25 +194,15 @@ impl<'a, M: Machine + ?Sized> Rewriter<'a, M> {
                     .iter()
                     .copied()
                     .find(|&ei| self.a.events[ei].defines);
-                let deleted = if def_event.is_some_and(|ei| self.a.events[ei].predef_def) {
-                    // §5.5: the defining load of a predefined memory
-                    // symbolic is removed; the value already lives in its
-                    // home location.
-                    self.stats.loads -= freq as i64;
-                    self.stats.code_bytes -= self.machine.inst_size(inst) as i64;
-                    true
-                } else if def_event
-                    .is_some_and(|ei| self.built.events[ei].dz.iter().any(|z| self.ov(*z)))
-                {
-                    // §5.1 copy deletion.
-                    self.stats.copies -= freq as i64;
-                    self.stats.code_bytes -= sc.copy_bytes as i64;
-                    true
-                } else {
-                    false
-                };
+                // Removed: the defining load of a §5.5 predefined memory
+                // symbolic (the value already lives in its home location)
+                // and a copy whose §5.1 deletion variable is 1.
+                let deleted = def_event.is_some_and(|ei| {
+                    self.a.events[ei].predef_def
+                        || self.built.events[ei].dz.iter().any(|z| self.ov(*z))
+                });
                 if !deleted {
-                    let rewritten = self.rewrite_inst(inst, &by_sym, freq, &mut nf);
+                    let rewritten = self.rewrite_inst(inst, &by_sym, &mut nf);
                     out.push(rewritten);
                 }
 
@@ -246,8 +223,6 @@ impl<'a, M: Machine + ?Sized> Rewriter<'a, M> {
                             src: Loc::Real(regs[d]),
                             width: self.f.sym_width(e.sym),
                         });
-                        self.stats.stores += freq as i64;
-                        self.stats.code_bytes += sc.store_bytes as i64;
                     }
                 }
                 for &ei in &group.events {
@@ -261,8 +236,6 @@ impl<'a, M: Machine + ?Sized> Rewriter<'a, M> {
                                 slot,
                                 width: self.f.sym_width(e.sym),
                             });
-                            self.stats.loads += freq as i64;
-                            self.stats.code_bytes += sc.load_bytes as i64;
                         }
                     }
                     for (i, r) in ev.remat_post.iter().enumerate() {
@@ -273,26 +246,16 @@ impl<'a, M: Machine + ?Sized> Rewriter<'a, M> {
                                 imm,
                                 width: self.f.sym_width(e.sym),
                             });
-                            self.stats.remats += freq as i64;
-                            self.stats.code_bytes += sc.remat_bytes as i64;
                         }
                     }
                 }
             }
             nf.block_mut(b).insts = out;
         }
-        (nf, self.stats)
+        nf
     }
 
-    fn emit_loads(
-        &mut self,
-        e: &Event,
-        ev: &EventVars,
-        freq: u64,
-        nf: &mut Function,
-        out: &mut Vec<Inst>,
-    ) {
-        let sc = *self.machine.spill_costs();
+    fn emit_loads(&mut self, e: &Event, ev: &EventVars, nf: &mut Function, out: &mut Vec<Inst>) {
         let regs = self.regs(e.sym);
         for (i, l) in ev.load.iter().enumerate() {
             if self.ov(*l) {
@@ -302,8 +265,6 @@ impl<'a, M: Machine + ?Sized> Rewriter<'a, M> {
                     slot,
                     width: self.f.sym_width(e.sym),
                 });
-                self.stats.loads += freq as i64;
-                self.stats.code_bytes += sc.load_bytes as i64;
             }
         }
         for (i, r) in ev.remat.iter().enumerate() {
@@ -314,8 +275,6 @@ impl<'a, M: Machine + ?Sized> Rewriter<'a, M> {
                     imm,
                     width: self.f.sym_width(e.sym),
                 });
-                self.stats.remats += freq as i64;
-                self.stats.code_bytes += sc.remat_bytes as i64;
             }
         }
     }
@@ -328,7 +287,6 @@ impl<'a, M: Machine + ?Sized> Rewriter<'a, M> {
         cursors: &mut HashMap<SymId, usize>,
         sym: SymId,
         prefer: Option<PhysReg>,
-        freq: u64,
     ) -> OperandChoice {
         let ei = by_sym[&sym];
         let ev = &self.built.events[ei];
@@ -336,9 +294,6 @@ impl<'a, M: Machine + ?Sized> Rewriter<'a, M> {
         let rv = &ev.roles[*cur];
         *cur += 1;
         if self.ov(rv.mem) {
-            let sc = *self.machine.spill_costs();
-            self.stats.mem_operand_cycles += (freq * sc.mem_use_extra_cycles) as i64;
-            self.stats.code_bytes += sc.mem_use_extra_bytes as i64;
             return OperandChoice::Mem;
         }
         let regs = self.regs(sym);
@@ -362,11 +317,9 @@ impl<'a, M: Machine + ?Sized> Rewriter<'a, M> {
         &mut self,
         inst: &Inst,
         by_sym: &HashMap<SymId, usize>,
-        freq: u64,
         nf: &mut Function,
     ) -> Inst {
         let mut cursors: HashMap<SymId, usize> = HashMap::new();
-        let sc = *self.machine.spill_costs();
 
         // The definition register, if this instruction defines one.
         let def_info: Option<(SymId, Option<PhysReg>, bool)> = inst.sym_def().map(|d| {
@@ -388,12 +341,11 @@ impl<'a, M: Machine + ?Sized> Rewriter<'a, M> {
             s: &mut Rewriter<'_, M2>,
             by_sym: &HashMap<SymId, usize>,
             cursors: &mut HashMap<SymId, usize>,
-            freq: u64,
             l: Loc,
             prefer: Option<PhysReg>,
         ) -> Loc {
             match l {
-                Loc::Sym(sym) => match s.role_choice(by_sym, cursors, sym, prefer, freq) {
+                Loc::Sym(sym) => match s.role_choice(by_sym, cursors, sym, prefer) {
                     OperandChoice::Reg(r) => Loc::Real(r),
                     OperandChoice::Mem => unreachable!("register positions never fold to memory"),
                 },
@@ -404,21 +356,18 @@ impl<'a, M: Machine + ?Sized> Rewriter<'a, M> {
             s: &mut Rewriter<'_, M2>,
             by_sym: &HashMap<SymId, usize>,
             cursors: &mut HashMap<SymId, usize>,
-            freq: u64,
             nf: &mut Function,
             o: &Operand,
             prefer: Option<PhysReg>,
         ) -> Operand {
             match o {
-                Operand::Loc(Loc::Sym(sym)) => {
-                    match s.role_choice(by_sym, cursors, *sym, prefer, freq) {
-                        OperandChoice::Reg(r) => Operand::real(r),
-                        OperandChoice::Mem => {
-                            let slot = s.slot(*sym, nf);
-                            Operand::Slot(slot)
-                        }
+                Operand::Loc(Loc::Sym(sym)) => match s.role_choice(by_sym, cursors, *sym, prefer) {
+                    OperandChoice::Reg(r) => Operand::real(r),
+                    OperandChoice::Mem => {
+                        let slot = s.slot(*sym, nf);
+                        Operand::Slot(slot)
                     }
-                }
+                },
                 o => *o,
             }
         }
@@ -430,14 +379,7 @@ impl<'a, M: Machine + ?Sized> Rewriter<'a, M> {
                 width: *width,
             },
             Inst::Copy { src, width, .. } => {
-                let src = loc(
-                    self,
-                    by_sym,
-                    &mut cursors,
-                    freq,
-                    *src,
-                    def_info.and_then(|d| d.1),
-                );
+                let src = loc(self, by_sym, &mut cursors, *src, def_info.and_then(|d| d.1));
                 Inst::Copy {
                     dst: Loc::Real(def_info.unwrap().1.unwrap()),
                     src,
@@ -445,7 +387,7 @@ impl<'a, M: Machine + ?Sized> Rewriter<'a, M> {
                 }
             }
             Inst::Load { addr, width, .. } => {
-                let addr = self.rewrite_addr(addr, by_sym, &mut cursors, freq);
+                let addr = self.rewrite_addr(addr, by_sym, &mut cursors);
                 Inst::Load {
                     dst: Loc::Real(def_info.unwrap().1.unwrap()),
                     addr,
@@ -453,8 +395,8 @@ impl<'a, M: Machine + ?Sized> Rewriter<'a, M> {
                 }
             }
             Inst::Store { addr, src, width } => {
-                let addr = self.rewrite_addr(addr, by_sym, &mut cursors, freq);
-                let src = op(self, by_sym, &mut cursors, freq, nf, src, None);
+                let addr = self.rewrite_addr(addr, by_sym, &mut cursors);
+                let src = op(self, by_sym, &mut cursors, nf, src, None);
                 Inst::Store {
                     addr,
                     src,
@@ -474,10 +416,8 @@ impl<'a, M: Machine + ?Sized> Rewriter<'a, M> {
                     // slot; the lhs role's cursor still advances (no use
                     // variable is set — the combined variable covers it).
                     *cursors.entry(dsym).or_insert(0) += 1;
-                    self.stats.mem_operand_cycles += (freq * sc.mem_combined_extra_cycles) as i64;
-                    self.stats.code_bytes += sc.mem_combined_extra_bytes as i64;
                     let slot = self.slot(dsym, nf);
-                    let rhs = op(self, by_sym, &mut cursors, freq, nf, rhs, None);
+                    let rhs = op(self, by_sym, &mut cursors, nf, rhs, None);
                     return Inst::Bin {
                         op: *bop,
                         dst: Dst::Slot(slot),
@@ -501,8 +441,8 @@ impl<'a, M: Machine + ?Sized> Rewriter<'a, M> {
                     // Same symbolic in both positions: either role's use
                     // of the definition register justifies the combined
                     // specifier (def ≤ useEnd_ρ1 + useEnd_ρ2).
-                    let c0 = self.role_choice(by_sym, &mut cursors, s, Some(dreg), freq);
-                    let c1 = self.role_choice(by_sym, &mut cursors, s, Some(dreg), freq);
+                    let c0 = self.role_choice(by_sym, &mut cursors, s, Some(dreg));
+                    let c1 = self.role_choice(by_sym, &mut cursors, s, Some(dreg));
                     let (l, r) = match (&c0, &c1) {
                         (OperandChoice::Reg(r0), _) if *r0 == dreg => (c0, c1),
                         (_, OperandChoice::Reg(r1)) if *r1 == dreg => (c1, c0),
@@ -531,8 +471,8 @@ impl<'a, M: Machine + ?Sized> Rewriter<'a, M> {
                     }
                 }
                 let had_reg_lhs = matches!(lhs, Operand::Loc(_));
-                let lhs = op(self, by_sym, &mut cursors, freq, nf, &lhs, Some(dreg));
-                let rhs = op(self, by_sym, &mut cursors, freq, nf, &rhs, None);
+                let lhs = op(self, by_sym, &mut cursors, nf, &lhs, Some(dreg));
+                let rhs = op(self, by_sym, &mut cursors, nf, &rhs, None);
                 if two_addr && had_reg_lhs {
                     // With an immediate in the combined position there is
                     // no register to match (the §5.1 constraint is absent
@@ -560,8 +500,6 @@ impl<'a, M: Machine + ?Sized> Rewriter<'a, M> {
                 let (dsym, dreg, combined) = def_info.unwrap();
                 if combined {
                     *cursors.entry(dsym).or_insert(0) += 1;
-                    self.stats.mem_operand_cycles += (freq * sc.mem_combined_extra_cycles) as i64;
-                    self.stats.code_bytes += sc.mem_combined_extra_bytes as i64;
                     let slot = self.slot(dsym, nf);
                     return Inst::Un {
                         op: *uop,
@@ -571,7 +509,7 @@ impl<'a, M: Machine + ?Sized> Rewriter<'a, M> {
                     };
                 }
                 let dreg = dreg.unwrap();
-                let src = op(self, by_sym, &mut cursors, freq, nf, src, Some(dreg));
+                let src = op(self, by_sym, &mut cursors, nf, src, Some(dreg));
                 Inst::Un {
                     op: *uop,
                     dst: Dst::Loc(Loc::Real(dreg)),
@@ -587,7 +525,7 @@ impl<'a, M: Machine + ?Sized> Rewriter<'a, M> {
             } => {
                 let args = args
                     .iter()
-                    .map(|a| op(self, by_sym, &mut cursors, freq, nf, a, None))
+                    .map(|a| op(self, by_sym, &mut cursors, nf, a, None))
                     .collect();
                 Inst::Call {
                     callee: *callee,
@@ -604,8 +542,8 @@ impl<'a, M: Machine + ?Sized> Rewriter<'a, M> {
                 then_blk,
                 else_blk,
             } => {
-                let lhs = op(self, by_sym, &mut cursors, freq, nf, lhs, None);
-                let rhs = op(self, by_sym, &mut cursors, freq, nf, rhs, None);
+                let lhs = op(self, by_sym, &mut cursors, nf, lhs, None);
+                let rhs = op(self, by_sym, &mut cursors, nf, rhs, None);
                 Inst::Branch {
                     cond: *cond,
                     lhs,
@@ -618,7 +556,7 @@ impl<'a, M: Machine + ?Sized> Rewriter<'a, M> {
             Inst::Ret { val } => Inst::Ret {
                 val: val
                     .as_ref()
-                    .map(|v| op(self, by_sym, &mut cursors, freq, nf, v, None)),
+                    .map(|v| op(self, by_sym, &mut cursors, nf, v, None)),
             },
             Inst::Jump { .. } | Inst::SpillLoad { .. } | Inst::SpillStore { .. } => inst.clone(),
         }
@@ -651,14 +589,13 @@ impl<'a, M: Machine + ?Sized> Rewriter<'a, M> {
         addr: &regalloc_ir::Address,
         by_sym: &HashMap<SymId, usize>,
         cursors: &mut HashMap<SymId, usize>,
-        freq: u64,
     ) -> regalloc_ir::Address {
         use regalloc_ir::Address;
         match addr {
             Address::Global(g) => Address::Global(*g),
             Address::Indirect { base, index, disp } => {
                 let base = base.map(|b| match b {
-                    Loc::Sym(s) => match self.role_choice(by_sym, cursors, s, None, freq) {
+                    Loc::Sym(s) => match self.role_choice(by_sym, cursors, s, None) {
                         OperandChoice::Reg(r) => Loc::Real(r),
                         OperandChoice::Mem => unreachable!("addresses never fold to memory"),
                     },
@@ -666,7 +603,7 @@ impl<'a, M: Machine + ?Sized> Rewriter<'a, M> {
                 });
                 let index = index.map(|(i, sc)| {
                     let l = match i {
-                        Loc::Sym(s) => match self.role_choice(by_sym, cursors, s, None, freq) {
+                        Loc::Sym(s) => match self.role_choice(by_sym, cursors, s, None) {
                             OperandChoice::Reg(r) => Loc::Real(r),
                             OperandChoice::Mem => unreachable!("addresses never fold to memory"),
                         },
