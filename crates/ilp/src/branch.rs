@@ -23,10 +23,13 @@ pub struct SolverConfig {
     pub node_limit: u64,
     /// Models with more rows than this are declined with
     /// [`Status::Unknown`] — the analogue of the memory limits that left a
-    /// few of the paper's functions unsolved. The simplex reserves an
-    /// `8·rows²`-byte value store for its basis inverse (pages are
-    /// committed only where entries turn nonzero), and a refactorization
-    /// costs `O(rows³)`.
+    /// few of the paper's functions unsolved. The simplex's basis inverse
+    /// grows with the pivots, by `8·rows` bytes for each row that has
+    /// been a pivot row, but the refactorization that bounds its drift is
+    /// dense: it holds two `rows × rows` matrices (`16·rows²` bytes),
+    /// costs `O(rows³)`, and leaves a `rows × rows` inverse behind. The
+    /// deterministic regime's 600 rows also decline most compiled
+    /// functions before the simplex starts (ROADMAP item 1).
     pub max_rows: usize,
     /// Attach a [`Certificate`] to completed solves (proved
     /// [`Status::Optimal`] or [`Status::Infeasible`]) of integral-cost

@@ -15,23 +15,35 @@
 //! * basic values are recomputed from the basis inverse periodically to
 //!   bound drift.
 //!
-//! The inverse keeps its values in a dense `m × m` store (8·m² bytes,
-//! allocated zeroed) beside an index of its nonzeros that each update
-//! extends.
+//! Every relaxation starts from a slack-and-artificial basis, whose
+//! inverse is diagonal, and a pivot only combines the pivot row into other
+//! rows. So until the first refactorization, the off-diagonal nonzeros of
+//! `B⁻¹` lie in the columns that have been pivot rows (the set K), and
+//! [`BasisInverse`] stores those columns in a row-major block whose width
+//! doubles as K grows, and the other columns as their diagonal entries: a
+//! relaxation that pivots `p` times holds `O(m·p)` values, not `m²`.
 //! ftran, btran, the update and the basic-value refresh visit indexed
-//! entries only, so an iteration costs what the nonzeros it touches cost
-//! — the update `|w| × |pivot row|`, ftran the entering column's columns
-//! of `B⁻¹` — instead of `O(m²)`. A row whose pattern covers more than a
-//! quarter of its entries is swept in full instead, as the dense kernels
-//! sweep every row: streaming memory beats hopping through a long list, so
-//! an iteration of a long solve, whose inverse fills in, costs about what
-//! the dense kernels cost. Skipped terms are products with an exact zero, so
-//! every value, and therefore every pivot, is the one the full-length
-//! dense sweeps compute (see [`BasisInverse`]). The rare refactorization
-//! is a dense `O(m³)` Gauss–Jordan elimination; the branch-and-bound
-//! driver declines models above [`crate::SolverConfig::max_rows`] (as
-//! CPLEX's memory limits effectively did in the paper's experiments, where
-//! a few functions went unsolved).
+//! entries only, so an iteration costs what the nonzeros it touches cost —
+//! the update `|w| × |pivot row|`, ftran the entering column's columns of
+//! `B⁻¹`. A row whose pattern covers more than a quarter of its K-entries
+//! is swept in full instead, as the dense kernels sweep every row:
+//! streaming memory beats hopping through a long list.
+//!
+//! The rest of an iteration follows what moved, too. Pricing keeps the
+//! reduced costs from one iteration to the next and recomputes only those
+//! of the columns with an entry in a row whose dual changed; the ratio
+//! test, the basic-value step and the update visit the entering column's
+//! nonzero rows in ascending order. Each falls back to a full sweep when
+//! what moved is dense. Skipped terms are products with an exact zero and
+//! skipped recomputations would read the same operands, so every value,
+//! and therefore every pivot, is the one the full-length dense sweeps
+//! compute; the test build keeps those sweeps, over an `m × m` inverse of
+//! their own, as the oracle. The rare refactorization is a dense `O(m³)`
+//! Gauss–Jordan elimination into an `m × m` inverse, after which K is
+//! every column; the branch-and-bound driver declines models above
+//! [`crate::SolverConfig::max_rows`] (as CPLEX's memory limits
+//! effectively did in the paper's experiments, where a few functions went
+//! unsolved).
 
 use crate::health::{Deadline, SolverHealth};
 use crate::model::{Model, Sense};
@@ -144,126 +156,229 @@ fn clamp_duals(model: &Model, y: &mut Vec<f64>) {
     }
 }
 
-/// A row pattern longer than `m / DENSE_SHARE` entries is swept in full:
-/// the sweep streams contiguous memory, the list jumps around it.
+/// A row pattern longer than `|K| / DENSE_SHARE` positions is swept in
+/// full: the sweep streams contiguous memory, the list jumps around it.
+/// The same share decides when the entering column's rows, or the rows
+/// whose dual changed, are too many to visit one by one.
 const DENSE_SHARE: usize = 4;
+
+/// Width of the K-block when the first column joins K; it doubles (up to
+/// `m`) each time K fills it.
+const FIRST_WIDTH: usize = 32;
+
+/// [`BasisInverse::pos`] of a column outside K.
+const OUTSIDE: u32 = u32::MAX;
 
 /// Which implementation of the basis-inverse kernels a tableau runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum Kernels {
-    /// Driven by the inverse's nonzero index.
+    /// [`BasisInverse`], driven by its nonzero index.
     Sparse,
-    /// The full-length dense sweeps the sparse kernels reproduce, kept as
-    /// the oracle of the bit-identity test.
+    /// [`DenseInverse`]: the full-length dense sweeps the sparse kernels
+    /// reproduce, kept as the oracle of the bit-identity test.
     #[cfg(test)]
     Dense,
 }
 
-/// The explicit basis inverse `B⁻¹` with an index of its nonzeros.
+/// The explicit basis inverse `B⁻¹`, stored to the extent the simplex
+/// fills it in, with an index of its nonzeros.
 ///
-/// Values live in a dense row-major `m × m` store, so reading any entry is
-/// O(1); the store is allocated zeroed, so a large one commits only the
-/// pages the kernels write. Beside it, the update maintains the set of
-/// *listed* entries: every nonzero entry is listed, and a listed entry may
-/// since have become exactly zero. Each kernel performs the dense kernel's
-/// arithmetic on listed entries only, summing in the dense loops' order.
-/// The terms it skips are products with an exact zero, which leave any
-/// nonzero partial sum unchanged, so while the values stay finite every
-/// result equals the dense kernel's bit for bit, up to the sign of an
-/// exact zero — which no decision reads: pricing, the ratio test and
-/// rounding compare against tolerances, and [`clamp_duals`] maps dust to
-/// `+0.0`.
+/// Every relaxation starts from a diagonal inverse, and a pivot on basis
+/// row `r` only combines row `r` into other rows. So since the last
+/// refactorization, row `i`'s nonzeros lie in `{i} ∪ K`, where K is the
+/// set of columns that have been pivot rows: every column outside K is
+/// still its starting diagonal entry, kept in `diag`. The K-columns live
+/// in a row-major block with one position per column, in the order the
+/// columns joined; its stride doubles (up to `m`) as K grows, so a
+/// relaxation that pivots `p` times holds `O(m·p)` values, not `m²`.
+/// [`BasisInverse::reset`] puts a refactorized inverse in the block with
+/// every column in K.
+///
+/// Beside the values, the update maintains the set of *listed* block
+/// entries: every nonzero entry is listed, and a listed entry may since
+/// have become exactly zero. Each kernel performs the dense kernel's
+/// arithmetic on `diag` and the listed entries only, summing in the dense
+/// loops' order. The terms it skips are products with an exact zero,
+/// which leave any nonzero partial sum unchanged, so while the values stay
+/// finite every result equals the dense kernel's bit for bit, up to the
+/// sign of an exact zero — which no decision reads: pricing, the ratio
+/// test and rounding compare against tolerances, and [`clamp_duals`] maps
+/// dust to `+0.0`.
 struct BasisInverse {
     m: usize,
-    /// Row-major values; every unlisted entry is exactly zero.
-    val: Vec<f64>,
-    /// `col_nz[k]`: the rows `i` of the listed entries `(i, k)`.
+    /// `diag[i]`: entry `(i, i)` while column `i` is outside K.
+    diag: Vec<f64>,
+    /// `kcols[p]`: the column at block position `p`.
+    kcols: Vec<u32>,
+    /// `pos[k]`: column `k`'s block position, or [`OUTSIDE`].
+    pos: Vec<u32>,
+    /// Row-major block: entry `(i, kcols[p])` at `block[i * stride + p]`;
+    /// every unlisted entry is exactly zero.
+    block: Vec<f64>,
+    stride: usize,
+    /// `col_nz[p]`: the rows `i` of the listed entries `(i, kcols[p])`.
     col_nz: Vec<Vec<u32>>,
-    /// `row_nz[i]`: the columns `k` of the listed entries `(i, k)`.
+    /// `row_nz[i]`: the positions `p` of the listed entries of row `i`.
     row_nz: Vec<Vec<u32>>,
-    /// Bit `i·m + k` is set when `(i, k)` is listed.
+    /// Bit `p` of row `i`'s run of `words` words is set when
+    /// `(i, kcols[p])` is listed.
     listed: Vec<u64>,
-    /// `full[i]`: every entry of row `i` is listed, as it is once a dense
-    /// pivot row has reached it.
-    full: Vec<bool>,
+    words: usize,
+    /// `full[i]`: every position below it is listed in row `i`, as it is
+    /// once a dense pivot row has reached the row.
+    full: Vec<u32>,
+    /// btran's accumulator, one entry per block position.
+    acc: Vec<f64>,
+    /// Re-layouts of a full block into a wider one (test coverage).
+    #[cfg(test)]
+    relayouts: u32,
+    /// Pivots that swept the K-block rows in full (test coverage).
+    #[cfg(test)]
+    dense_pivots: u32,
 }
 
 impl BasisInverse {
-    /// The all-zero inverse; [`BasisInverse::set_diagonal`] fills in the
-    /// starting basis.
+    /// The all-zero inverse with K empty; [`BasisInverse::set_diagonal`]
+    /// fills in the starting basis.
     fn new(m: usize) -> BasisInverse {
         BasisInverse {
             m,
-            val: vec![0.0; m * m],
-            col_nz: vec![Vec::new(); m],
+            diag: vec![0.0; m],
+            kcols: Vec::new(),
+            pos: vec![OUTSIDE; m],
+            block: Vec::new(),
+            stride: 0,
+            col_nz: Vec::new(),
             row_nz: vec![Vec::new(); m],
-            listed: vec![0; (m * m).div_ceil(64)],
-            full: vec![false; m],
+            listed: Vec::new(),
+            words: 0,
+            full: vec![0; m],
+            acc: Vec::new(),
+            #[cfg(test)]
+            relayouts: 0,
+            #[cfg(test)]
+            dense_pivots: 0,
         }
     }
 
     fn set_diagonal(&mut self, i: usize, v: f64) {
-        self.val[i * self.m + i] = v;
-        self.list(i, i);
+        self.diag[i] = v;
     }
 
-    /// Add `(i, k)` to the index unless it is listed already.
-    fn list(&mut self, i: usize, k: usize) {
-        let bit = i * self.m + k;
-        let word = &mut self.listed[bit / 64];
-        let mask = 1u64 << (bit % 64);
+    /// Add `(i, kcols[p])` to the index unless it is listed already.
+    fn list(&mut self, i: usize, p: usize) {
+        let word = &mut self.listed[i * self.words + p / 64];
+        let mask = 1u64 << (p % 64);
         if *word & mask == 0 {
             *word |= mask;
-            self.row_nz[i].push(k as u32);
-            self.col_nz[k].push(i as u32);
+            self.row_nz[i].push(p as u32);
+            self.col_nz[p].push(i as u32);
         }
     }
 
-    /// List every entry of row `i`.
+    /// List every block entry of row `i`.
     fn fill_row(&mut self, i: usize) {
-        if !self.full[i] {
-            for k in 0..self.m {
-                self.list(i, k);
-            }
-            self.full[i] = true;
+        let k = self.kcols.len();
+        for p in self.full[i] as usize..k {
+            self.list(i, p);
         }
+        self.full[i] = k as u32;
+    }
+
+    /// Column `r`, outside K, joins it: its diagonal entry moves into the
+    /// block, which is widened first if K fills it.
+    fn join(&mut self, r: usize) {
+        let p = self.kcols.len();
+        if p == self.stride {
+            let stride = if p == 0 { FIRST_WIDTH } else { 2 * p };
+            self.relayout(stride.min(self.m));
+        }
+        self.kcols.push(r as u32);
+        self.pos[r] = p as u32;
+        self.col_nz.push(Vec::new());
+        self.block[r * self.stride + p] = self.diag[r];
+        self.list(r, p);
+    }
+
+    /// Widen the block and its listed bits to rows of `stride`
+    /// positions, in place: each row moves, last row first, to its new
+    /// offset, which is never below its old one, and the rest of its new
+    /// row is zeroed.
+    fn relayout(&mut self, stride: usize) {
+        let (m, k) = (self.m, self.kcols.len());
+        let words = stride.div_ceil(64);
+        self.block.resize(m * stride, 0.0);
+        self.listed.resize(m * words, 0);
+        for i in (0..m).rev() {
+            self.block
+                .copy_within(i * self.stride..i * self.stride + k, i * stride);
+            self.block[i * stride + k..(i + 1) * stride].fill(0.0);
+            self.listed
+                .copy_within(i * self.words..(i + 1) * self.words, i * words);
+            self.listed[i * words + self.words..(i + 1) * words].fill(0);
+        }
+        #[cfg(test)]
+        {
+            self.relayouts += u32::from(self.stride > 0);
+        }
+        self.stride = stride;
+        self.words = words;
     }
 
     /// `w = B⁻¹ a` for a sparse column `a`; each `w_i` sums over `a`'s
-    /// entries in order.
-    fn ftran(&self, a: &[(usize, f64)], w: &mut [f64]) {
+    /// entries in order. Sets in `mask` the bit of every row it writes.
+    fn ftran(&self, a: &[(usize, f64)], w: &mut [f64], mask: &mut [u64]) {
         w.fill(0.0);
         for &(k, c) in a {
-            for &i in &self.col_nz[k] {
-                let i = i as usize;
-                w[i] += self.val[i * self.m + k] * c;
+            match self.pos[k] {
+                OUTSIDE => {
+                    w[k] += self.diag[k] * c;
+                    mask[k / 64] |= 1 << (k % 64);
+                }
+                p => {
+                    let p = p as usize;
+                    for &i in &self.col_nz[p] {
+                        let i = i as usize;
+                        w[i] += self.block[i * self.stride + p] * c;
+                        mask[i / 64] |= 1 << (i % 64);
+                    }
+                }
             }
         }
     }
 
-    /// True when a row pattern of `len` entries is cheaper to sweep in
-    /// full than through its list.
+    /// True when a row pattern of `len` block entries is cheaper to sweep
+    /// in full than through its list.
     fn dense(&self, len: usize) -> bool {
-        len * DENSE_SHARE > self.m
+        len * DENSE_SHARE > self.kcols.len()
     }
 
     /// `y = cᵦᵀ B⁻¹`, where `cb` yields the basic costs row by row; each
     /// `y_k` sums over ascending basis rows.
-    fn btran(&self, cb: impl Iterator<Item = f64>, y: &mut [f64]) {
+    fn btran(&mut self, cb: impl Iterator<Item = f64>, y: &mut [f64]) {
+        let (k, stride) = (self.kcols.len(), self.stride);
         y.fill(0.0);
+        self.acc.clear();
+        self.acc.resize(k, 0.0);
         for (i, c) in cb.enumerate() {
             if c != 0.0 {
-                let row = &self.val[i * self.m..(i + 1) * self.m];
+                if self.pos[i] == OUTSIDE {
+                    y[i] += c * self.diag[i];
+                }
+                let row = &self.block[i * stride..i * stride + k];
                 if self.dense(self.row_nz[i].len()) {
-                    for (yk, bv) in y.iter_mut().zip(row) {
-                        *yk += c * bv;
+                    for (yp, bv) in self.acc.iter_mut().zip(row) {
+                        *yp += c * bv;
                     }
                 } else {
-                    for &k in &self.row_nz[i] {
-                        y[k as usize] += c * row[k as usize];
+                    for &p in &self.row_nz[i] {
+                        self.acc[p as usize] += c * row[p as usize];
                     }
                 }
             }
+        }
+        for (&col, &v) in self.kcols.iter().zip(&self.acc) {
+            y[col as usize] = v;
         }
     }
 
@@ -272,60 +387,13 @@ impl BasisInverse {
         out.fill(0.0);
         for (k, &rk) in r.iter().enumerate() {
             if rk != 0.0 {
-                for &i in &self.col_nz[k] {
-                    let i = i as usize;
-                    out[i] += self.val[i * self.m + k] * rk;
-                }
-            }
-        }
-    }
-
-    /// Pivot on basis row `r`, where `w = B⁻¹ a_j` is the entering
-    /// column: row `r` is divided by `w_r` and eliminated from every other
-    /// row `i` with `|w_i| > 1e-12`, over row `r`'s nonzero columns — or
-    /// over the whole row when those are too many to visit one by one.
-    fn pivot(&mut self, r: usize, w: &[f64]) {
-        let m = self.m;
-        let wr = w[r];
-        let row_r = r * m..(r + 1) * m;
-        if self.dense(self.row_nz[r].len()) {
-            for v in &mut self.val[row_r.clone()] {
-                *v /= wr;
-            }
-        } else {
-            for &k in &self.row_nz[r] {
-                self.val[r * m + k as usize] /= wr;
-            }
-        }
-        // Row r's nonzeros; its listed zeros would only subtract zero
-        // products from the other rows.
-        let pivot_row: Vec<(usize, f64)> = self.row_nz[r]
-            .iter()
-            .map(|&k| (k as usize, self.val[r * m + k as usize]))
-            .filter(|&(_, p)| p != 0.0)
-            .collect();
-        if self.dense(pivot_row.len()) {
-            let pivot_row = self.val[row_r].to_vec();
-            for (i, &f) in w.iter().enumerate() {
-                if i != r && f.abs() > 1e-12 {
-                    // Row i gains this many entries anyway: list all of
-                    // them once instead of checking each new one.
-                    self.fill_row(i);
-                    for (v, p) in self.val[i * m..(i + 1) * m].iter_mut().zip(&pivot_row) {
-                        *v -= f * p;
-                    }
-                }
-            }
-        } else {
-            for (i, &f) in w.iter().enumerate() {
-                if i != r && f.abs() > 1e-12 {
-                    for &(k, p) in &pivot_row {
-                        let v = &mut self.val[i * m + k];
-                        let was_zero = *v == 0.0;
-                        *v -= f * p;
-                        // A nonzero entry is listed already.
-                        if was_zero {
-                            self.list(i, k);
+                match self.pos[k] {
+                    OUTSIDE => out[k] += self.diag[k] * rk,
+                    p => {
+                        let p = p as usize;
+                        for &i in &self.col_nz[p] {
+                            let i = i as usize;
+                            out[i] += self.block[i * self.stride + p] * rk;
                         }
                     }
                 }
@@ -333,30 +401,114 @@ impl BasisInverse {
         }
     }
 
-    /// Replace the values by a freshly factorized inverse and re-index
-    /// its nonzeros.
-    fn reset(&mut self, val: Vec<f64>) {
-        self.val = val;
-        self.listed.fill(0);
-        self.full.fill(false);
-        for l in self.row_nz.iter_mut().chain(&mut self.col_nz) {
-            l.clear();
+    /// Pivot on basis row `r`, where `w = B⁻¹ a_j` is the entering
+    /// column and `rows` holds, ascending, every row where `w` may be
+    /// nonzero: column `r` joins K, row `r` is divided by `w_r` and
+    /// eliminated from every other row `i` with `|w_i| > 1e-12`, over row
+    /// `r`'s nonzero positions — or over the whole block row when those
+    /// are too many to visit one by one.
+    fn pivot(&mut self, r: usize, w: &[f64], rows: &[u32]) {
+        if self.pos[r] == OUTSIDE {
+            self.join(r);
         }
-        for i in 0..self.m {
-            for k in 0..self.m {
-                if self.val[i * self.m + k] != 0.0 {
-                    self.list(i, k);
+        let (k, stride) = (self.kcols.len(), self.stride);
+        let wr = w[r];
+        let row_r = r * stride..r * stride + k;
+        if self.dense(self.row_nz[r].len()) {
+            for v in &mut self.block[row_r.clone()] {
+                *v /= wr;
+            }
+        } else {
+            for &p in &self.row_nz[r] {
+                self.block[r * stride + p as usize] /= wr;
+            }
+        }
+        // Row r's nonzeros; its listed zeros would only subtract zero
+        // products from the other rows.
+        let pivot_row: Vec<(usize, f64)> = self.row_nz[r]
+            .iter()
+            .map(|&p| (p as usize, self.block[r * stride + p as usize]))
+            .filter(|&(_, v)| v != 0.0)
+            .collect();
+        if self.dense(pivot_row.len()) {
+            #[cfg(test)]
+            {
+                self.dense_pivots += 1;
+            }
+            let pivot_row = self.block[row_r].to_vec();
+            for &i in rows {
+                let (i, f) = (i as usize, w[i as usize]);
+                if i != r && f.abs() > 1e-12 {
+                    // Row i gains this many entries anyway: list all of
+                    // them once instead of checking each new one.
+                    self.fill_row(i);
+                    for (v, p) in self.block[i * stride..i * stride + k]
+                        .iter_mut()
+                        .zip(&pivot_row)
+                    {
+                        *v -= f * p;
+                    }
+                }
+            }
+        } else {
+            for &i in rows {
+                let (i, f) = (i as usize, w[i as usize]);
+                if i != r && f.abs() > 1e-12 {
+                    for &(p, pv) in &pivot_row {
+                        let v = &mut self.block[i * stride + p];
+                        let was_zero = *v == 0.0;
+                        *v -= f * pv;
+                        // A nonzero entry is listed already.
+                        if was_zero {
+                            self.list(i, p);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Replace the values by a freshly factorized `m × m` inverse, with
+    /// every column in K at its own position, and re-index its nonzeros.
+    fn reset(&mut self, inv: Vec<f64>) {
+        let m = self.m;
+        self.kcols = (0..m as u32).collect();
+        self.pos = self.kcols.clone();
+        self.block = inv;
+        self.stride = m;
+        self.words = m.div_ceil(64);
+        self.listed = vec![0; m * self.words];
+        self.full.fill(0);
+        self.row_nz.iter_mut().for_each(Vec::clear);
+        self.col_nz = vec![Vec::new(); m];
+        for i in 0..m {
+            for p in 0..m {
+                if self.block[i * m + p] != 0.0 {
+                    self.list(i, p);
                 }
             }
         }
     }
 }
 
-/// The dense kernels the sparse ones replace: full-length sweeps of
-/// `B⁻¹` in the same summation order.
+/// The dense kernels the sparse ones replace: full-length sweeps of an
+/// `m × m` inverse, in the same summation order.
 #[cfg(test)]
-impl BasisInverse {
-    fn ftran_dense(&self, a: &[(usize, f64)], w: &mut [f64]) {
+struct DenseInverse {
+    m: usize,
+    val: Vec<f64>,
+}
+
+#[cfg(test)]
+impl DenseInverse {
+    fn new(m: usize) -> DenseInverse {
+        DenseInverse {
+            m,
+            val: vec![0.0; m * m],
+        }
+    }
+
+    fn ftran(&self, a: &[(usize, f64)], w: &mut [f64]) {
         w.fill(0.0);
         for &(ri, c) in a {
             for (i, wi) in w.iter_mut().enumerate() {
@@ -365,7 +517,7 @@ impl BasisInverse {
         }
     }
 
-    fn btran_dense(&self, cb: impl Iterator<Item = f64>, y: &mut [f64]) {
+    fn btran(&self, cb: impl Iterator<Item = f64>, y: &mut [f64]) {
         y.fill(0.0);
         for (i, c) in cb.enumerate() {
             if c != 0.0 {
@@ -377,14 +529,14 @@ impl BasisInverse {
         }
     }
 
-    fn apply_dense(&self, r: &[f64], out: &mut [f64]) {
+    fn apply(&self, r: &[f64], out: &mut [f64]) {
         for (i, o) in out.iter_mut().enumerate() {
             let row = &self.val[i * self.m..(i + 1) * self.m];
             *o = row.iter().zip(r).map(|(bv, rv)| bv * rv).sum();
         }
     }
 
-    fn pivot_dense(&mut self, r: usize, w: &[f64]) {
+    fn pivot(&mut self, r: usize, w: &[f64]) {
         let (mm, binv) = (self.m, &mut self.val);
         let wr = w[r];
         for kk in 0..mm {
@@ -400,6 +552,64 @@ impl BasisInverse {
     }
 }
 
+/// A tableau's basis inverse: the one the solver runs, or in the test
+/// build its dense twin.
+enum Inverse {
+    Sparse(Box<BasisInverse>),
+    #[cfg(test)]
+    Dense(DenseInverse),
+}
+
+impl Inverse {
+    fn new(kernels: Kernels, m: usize) -> Inverse {
+        match kernels {
+            Kernels::Sparse => Inverse::Sparse(Box::new(BasisInverse::new(m))),
+            #[cfg(test)]
+            Kernels::Dense => Inverse::Dense(DenseInverse::new(m)),
+        }
+    }
+
+    fn set_diagonal(&mut self, i: usize, v: f64) {
+        match self {
+            Inverse::Sparse(b) => b.set_diagonal(i, v),
+            #[cfg(test)]
+            Inverse::Dense(d) => d.val[i * d.m + i] = v,
+        }
+    }
+
+    fn btran(&mut self, cb: impl Iterator<Item = f64>, y: &mut [f64]) {
+        match self {
+            Inverse::Sparse(b) => b.btran(cb, y),
+            #[cfg(test)]
+            Inverse::Dense(d) => d.btran(cb, y),
+        }
+    }
+
+    fn apply(&self, r: &[f64], out: &mut [f64]) {
+        match self {
+            Inverse::Sparse(b) => b.apply(r, out),
+            #[cfg(test)]
+            Inverse::Dense(d) => d.apply(r, out),
+        }
+    }
+
+    fn pivot(&mut self, r: usize, w: &[f64], rows: &[u32]) {
+        match self {
+            Inverse::Sparse(b) => b.pivot(r, w, rows),
+            #[cfg(test)]
+            Inverse::Dense(d) => d.pivot(r, w),
+        }
+    }
+
+    fn reset(&mut self, inv: Vec<f64>) {
+        match self {
+            Inverse::Sparse(b) => b.reset(inv),
+            #[cfg(test)]
+            Inverse::Dense(d) => d.val = inv,
+        }
+    }
+}
+
 struct Tableau<'a> {
     model: &'a Model,
     /// Sparse columns, indexed by variable: (row, coefficient).
@@ -411,8 +621,7 @@ struct Tableau<'a> {
     in_basis: Vec<bool>,
     /// basis[row] = variable index basic in that row.
     basis: Vec<usize>,
-    binv: BasisInverse,
-    kernels: Kernels,
+    binv: Inverse,
     b: Vec<f64>,
     m: usize,
     n_struct: usize,
@@ -452,7 +661,7 @@ impl<'a> Tableau<'a> {
         let mut at_upper = vec![false; n + m];
         let mut in_basis = vec![false; n + m];
         let mut basis = vec![usize::MAX; m];
-        let mut binv = BasisInverse::new(m);
+        let mut binv = Inverse::new(kernels, m);
 
         // Choose the starting basis row by row: the slack if its bounds
         // admit the residual, otherwise an artificial.
@@ -489,7 +698,6 @@ impl<'a> Tableau<'a> {
             in_basis,
             basis,
             binv,
-            kernels,
             b,
             m,
             n_struct: n,
@@ -523,23 +731,46 @@ impl<'a> Tableau<'a> {
         self.cols.len()
     }
 
-    /// w = B⁻¹ · column(j)
-    fn ftran(&self, j: usize, w: &mut [f64]) {
-        match self.kernels {
-            Kernels::Sparse => self.binv.ftran(&self.cols[j], w),
+    /// `w = B⁻¹ · column(j)`. Returns true when `rows` then holds, in
+    /// ascending order, every row where `w` may be nonzero, and false
+    /// when a step should sweep every row instead: those rows are too
+    /// many to be worth listing, or the kernels keep no index. `mask` is
+    /// all zero before and after.
+    fn ftran(&self, j: usize, w: &mut [f64], mask: &mut [u64], rows: &mut Vec<u32>) -> bool {
+        match &self.binv {
+            Inverse::Sparse(b) => {
+                b.ftran(&self.cols[j], w, mask);
+                let touched: usize = mask.iter().map(|x| x.count_ones() as usize).sum();
+                let sparse = touched * DENSE_SHARE <= self.m;
+                rows.clear();
+                for (base, word) in (0u32..).step_by(64).zip(mask.iter_mut()) {
+                    let mut bits = std::mem::take(word);
+                    if sparse {
+                        while bits != 0 {
+                            rows.push(base + bits.trailing_zeros());
+                            bits &= bits - 1;
+                        }
+                    }
+                }
+                sparse
+            }
             #[cfg(test)]
-            Kernels::Dense => self.binv.ftran_dense(&self.cols[j], w),
+            Inverse::Dense(d) => {
+                d.ftran(&self.cols[j], w);
+                false
+            }
         }
     }
 
     /// y = cᵦᵀ · B⁻¹
-    fn btran(&self, costs: &[f64], y: &mut [f64]) {
+    fn btran(&mut self, costs: &[f64], y: &mut [f64]) {
         let cb = self.basis.iter().map(|&bi| costs[bi]);
-        match self.kernels {
-            Kernels::Sparse => self.binv.btran(cb, y),
-            #[cfg(test)]
-            Kernels::Dense => self.binv.btran_dense(cb, y),
-        }
+        self.binv.btran(cb, y);
+    }
+
+    /// True for the variables pricing considers: nonbasic and not fixed.
+    fn candidate(&self, j: usize) -> bool {
+        !(self.in_basis[j] || self.lo[j] >= self.hi[j] - 1e-12)
     }
 
     fn reduced_cost(&self, costs: &[f64], y: &[f64], j: usize) -> f64 {
@@ -548,6 +779,61 @@ impl<'a> Tableau<'a> {
             d -= y[ri] * c;
         }
         d
+    }
+
+    /// Recompute the reduced cost of every candidate, and zero the
+    /// entries of every other variable.
+    fn price_all(&self, costs: &[f64], y: &[f64], d: &mut [f64]) {
+        for (j, dj) in d.iter_mut().enumerate() {
+            *dj = if self.candidate(j) {
+                self.reduced_cost(costs, y, j)
+            } else {
+                0.0
+            };
+        }
+    }
+
+    /// Bring the candidates' reduced costs `d` from the duals `y_prev` to
+    /// `y`: recompute those of the candidates with an entry in a row whose
+    /// dual changed bitwise, and that of `left`, the variable that has
+    /// left the basis since (its entry was zero while it was basic).
+    /// Every other candidate's sum would read the same operands, so its
+    /// entry already is what [`Tableau::reduced_cost`] returns. Returns
+    /// false, having changed nothing, when the duals changed in too many
+    /// rows for this to beat [`Tableau::price_all`].
+    fn reprice(
+        &self,
+        costs: &[f64],
+        y: &[f64],
+        y_prev: &[f64],
+        d: &mut [f64],
+        left: Option<usize>,
+        changed: &mut Vec<usize>,
+    ) -> bool {
+        changed.clear();
+        for (i, (now, was)) in y.iter().zip(y_prev).enumerate() {
+            if now.to_bits() != was.to_bits() {
+                changed.push(i);
+                if changed.len() * DENSE_SHARE > self.m {
+                    return false;
+                }
+            }
+        }
+        for &ri in changed.iter() {
+            let structurals = self.model.rows()[ri].coeffs.iter().map(|(v, _)| v.index());
+            for j in structurals
+                .chain([self.n_struct + ri])
+                .chain(self.art_of_row[ri])
+            {
+                if self.candidate(j) {
+                    d[j] = self.reduced_cost(costs, y, j);
+                }
+            }
+        }
+        if let Some(j) = left.filter(|&j| self.candidate(j)) {
+            d[j] = self.reduced_cost(costs, y, j);
+        }
+        true
     }
 
     /// Recompute basic values from scratch: x_B = B⁻¹ (b − N x_N).
@@ -561,11 +847,7 @@ impl<'a> Tableau<'a> {
             }
         }
         let mut xb = vec![0.0; self.m];
-        match self.kernels {
-            Kernels::Sparse => self.binv.apply(&rhs, &mut xb),
-            #[cfg(test)]
-            Kernels::Dense => self.binv.apply_dense(&rhs, &mut xb),
-        }
+        self.binv.apply(&rhs, &mut xb);
         for (&k, v) in self.basis.iter().zip(xb) {
             self.x[k] = v;
         }
@@ -667,8 +949,23 @@ impl<'a> Tableau<'a> {
         deadline: Deadline,
         health: &mut SolverHealth,
     ) -> StopReason {
-        let mut y = vec![0.0; self.m];
-        let mut w = vec![0.0; self.m];
+        let m = self.m;
+        // The duals of this iteration and of the previous one.
+        let (mut y, mut y_prev) = (vec![0.0; m], vec![0.0; m]);
+        // The candidates' reduced costs at `y`, kept from one iteration
+        // to the next while `priced`; `left` is the variable the last
+        // pivot took out of the basis. Every other entry is zero, which
+        // never prices as improving, so the pricing loop need not test
+        // which variables are candidates.
+        let mut d = vec![0.0; self.num_vars()];
+        let mut priced = false;
+        let mut left = None;
+        let mut changed = Vec::new();
+        // The entering column, and the rows a step visits.
+        let mut w = vec![0.0; m];
+        let mut mask = vec![0u64; m.div_ceil(64)];
+        let mut pattern = Vec::new();
+        let every_row: Vec<u32> = (0..m as u32).collect();
         let mut degen_streak: u32 = 0;
         // Dual-feasibility tolerance, scaled to the cost magnitudes:
         // reduced costs are differences of quantities of order max|c|, so
@@ -697,14 +994,6 @@ impl<'a> Tableau<'a> {
                     return StopReason::Numerical;
                 }
             }
-            #[cfg(feature = "debug-lp")]
-            if self.iters % 20_000 == 0 {
-                let obj: f64 = (0..self.num_vars()).map(|j| costs[j] * self.x[j]).sum();
-                eprintln!(
-                    "iter {} obj {obj} bland={bland_mode} streak={degen_streak}",
-                    self.iters
-                );
-            }
 
             // Pricing.
             if degen_streak >= BLAND_TRIGGER && !bland_mode {
@@ -717,21 +1006,34 @@ impl<'a> Tableau<'a> {
                 // declare cycling rather than spin to the iteration limit.
                 return StopReason::Numerical;
             }
+            std::mem::swap(&mut y, &mut y_prev);
             self.btran(costs, &mut y);
+            let stale = left.take();
+            priced = priced && self.reprice(costs, &y, &y_prev, &mut d, stale, &mut changed);
+            if !priced {
+                self.price_all(costs, &y, &mut d);
+                // The dense oracle prices in full every iteration.
+                priced = matches!(self.binv, Inverse::Sparse(_));
+            }
+            #[cfg(test)]
+            for (j, dj) in d.iter().enumerate() {
+                let fresh = if self.candidate(j) {
+                    self.reduced_cost(costs, &y, j)
+                } else {
+                    0.0
+                };
+                assert_eq!(dj.to_bits(), fresh.to_bits(), "cached reduced cost {j}");
+            }
             let bland = bland_mode;
             let mut enter: Option<(usize, f64, f64)> = None; // (var, d, sigma)
             let mut best_score = 0.0_f64;
             let mut saw_nan = false;
-            for j in 0..self.num_vars() {
-                if self.in_basis[j] || self.lo[j] >= self.hi[j] - 1e-12 {
-                    continue;
-                }
-                let dj = self.reduced_cost(costs, &y, j);
+            for (j, (&dj, &upper)) in d.iter().zip(&self.at_upper).enumerate() {
                 if dj.is_nan() {
                     saw_nan = true;
                     break;
                 }
-                let sigma = if self.at_upper[j] { -1.0 } else { 1.0 };
+                let sigma = if upper { -1.0 } else { 1.0 };
                 // Improving when moving off the bound reduces cost.
                 if dj * sigma < -dtol {
                     if bland {
@@ -754,7 +1056,11 @@ impl<'a> Tableau<'a> {
                 None => return StopReason::Optimal,
             };
 
-            self.ftran(j, &mut w);
+            let rows = if self.ftran(j, &mut w, &mut mask, &mut pattern) {
+                &pattern
+            } else {
+                &every_row
+            };
 
             // Ratio test. x_B(t) = x_B − σ t w; entering moves σt from its
             // bound; it may also flip to its opposite bound. Ties are
@@ -763,7 +1069,8 @@ impl<'a> Tableau<'a> {
             // must win for the anti-cycling guarantee to hold.
             let mut t_best = self.hi[j] - self.lo[j]; // bound flip distance
             let mut leave: Option<(usize, bool)> = None; // (basis row, leaves_at_upper)
-            for i in 0..self.m {
+            for &i in rows {
+                let i = i as usize;
                 let k = self.basis[i];
                 let delta = -sigma * w[i]; // d x_k / d t
                 let (t, at_upper) = if delta > PIVOT_TOL {
@@ -834,8 +1141,9 @@ impl<'a> Tableau<'a> {
 
             // Apply the step.
             if t_best > 0.0 {
-                for (&k, &wi) in self.basis.iter().zip(w.iter()) {
-                    self.x[k] -= sigma * t_best * wi;
+                for &i in rows {
+                    let i = i as usize;
+                    self.x[self.basis[i]] -= sigma * t_best * w[i];
                 }
                 self.x[j] += sigma * t_best;
             }
@@ -862,11 +1170,9 @@ impl<'a> Tableau<'a> {
                     self.in_basis[k] = false;
                     self.basis[r] = j;
                     self.in_basis[j] = true;
-                    match self.kernels {
-                        Kernels::Sparse => self.binv.pivot(r, &w),
-                        #[cfg(test)]
-                        Kernels::Dense => self.binv.pivot_dense(r, &w),
-                    }
+                    d[j] = 0.0;
+                    left = Some(k);
+                    self.binv.pivot(r, &w, rows);
                 }
             }
         }
@@ -951,79 +1257,94 @@ fn solve_with(
         health.lp_aborts += 1;
         return LpOutcome::Numerical { iters: 0 };
     }
-    let mut t = Tableau::new(model, lb, ub, kernels);
+    Tableau::new(model, lb, ub, kernels).solve(iter_limit, deadline, health, duals)
+}
 
-    let abort = |reason: StopReason, iters: u64, health: &mut SolverHealth| {
-        health.lp_aborts += 1;
-        match reason {
-            StopReason::Numerical => LpOutcome::Numerical { iters },
-            _ => LpOutcome::Limit { iters },
-        }
-    };
+impl Tableau<'_> {
+    /// Phase 1 if the starting basis has artificials, then phase 2; the
+    /// body of [`solve_lp_with_duals`] once the bounds are known to be
+    /// sane.
+    fn solve(
+        &mut self,
+        iter_limit: u64,
+        deadline: Deadline,
+        health: &mut SolverHealth,
+        mut duals: Option<&mut DualInfo>,
+    ) -> LpOutcome {
+        let abort = |reason: StopReason, iters: u64, health: &mut SolverHealth| {
+            health.lp_aborts += 1;
+            match reason {
+                StopReason::Numerical => LpOutcome::Numerical { iters },
+                _ => LpOutcome::Limit { iters },
+            }
+        };
+        let model = self.model;
 
-    // Phase 1 (only if artificials exist).
-    if t.num_vars() > t.n_art_start {
-        let mut costs = vec![0.0; t.num_vars()];
-        for c in costs.iter_mut().skip(t.n_art_start) {
-            *c = 1.0;
+        // Phase 1 (only if artificials exist).
+        if self.num_vars() > self.n_art_start {
+            let mut costs = vec![0.0; self.num_vars()];
+            for c in costs.iter_mut().skip(self.n_art_start) {
+                *c = 1.0;
+            }
+            match self.optimize(&costs, iter_limit, deadline, health) {
+                StopReason::Optimal => {}
+                r => return abort(r, self.iters, health),
+            }
+            let infeas: f64 = self.x[self.n_art_start..].iter().sum();
+            if infeas.is_nan() {
+                health.nan_events += 1;
+                return abort(StopReason::Numerical, self.iters, health);
+            }
+            if infeas > 1e-6 {
+                if let Some(d) = duals.as_deref_mut() {
+                    d.y = vec![0.0; self.m];
+                    self.btran(&costs, &mut d.y);
+                    clamp_duals(model, &mut d.y);
+                    d.farkas = true;
+                }
+                return LpOutcome::Infeasible { iters: self.iters };
+            }
+            // Pin artificials to zero for phase 2.
+            for j in self.n_art_start..self.num_vars() {
+                self.hi[j] = 0.0;
+                if !self.in_basis[j] {
+                    self.x[j] = 0.0;
+                }
+            }
         }
-        match t.optimize(&costs, iter_limit, deadline, health) {
+
+        // Phase 2.
+        let mut costs = vec![0.0; self.num_vars()];
+        costs[..self.n_struct].copy_from_slice(model.costs());
+        match self.optimize(&costs, iter_limit, deadline, health) {
             StopReason::Optimal => {}
-            r => return abort(r, t.iters, health),
+            r => return abort(r, self.iters, health),
         }
-        let infeas: f64 = t.x[t.n_art_start..].iter().sum();
-        if infeas.is_nan() {
+        self.refresh_basics();
+
+        // The structurals' bounds are the caller's `lb`/`ub`.
+        let x: Vec<f64> = (0..self.n_struct)
+            .map(|j| self.x[j].clamp(self.lo[j], self.hi[j]))
+            .collect();
+        let obj = x
+            .iter()
+            .zip(model.costs())
+            .map(|(xj, cj)| xj * cj)
+            .sum::<f64>();
+        if !obj.is_finite() || x.iter().any(|v| !v.is_finite()) {
             health.nan_events += 1;
-            return abort(StopReason::Numerical, t.iters, health);
+            return abort(StopReason::Numerical, self.iters, health);
         }
-        if infeas > 1e-6 {
-            if let Some(d) = duals.as_deref_mut() {
-                d.y = vec![0.0; t.m];
-                t.btran(&costs, &mut d.y);
-                clamp_duals(model, &mut d.y);
-                d.farkas = true;
-            }
-            return LpOutcome::Infeasible { iters: t.iters };
+        if let Some(d) = duals {
+            d.y = vec![0.0; self.m];
+            self.btran(&costs, &mut d.y);
+            clamp_duals(model, &mut d.y);
         }
-        // Pin artificials to zero for phase 2.
-        for j in t.n_art_start..t.num_vars() {
-            t.hi[j] = 0.0;
-            if !t.in_basis[j] {
-                t.x[j] = 0.0;
-            }
+        LpOutcome::Optimal {
+            x,
+            obj,
+            iters: self.iters,
         }
-    }
-
-    // Phase 2.
-    let mut costs = vec![0.0; t.num_vars()];
-    costs[..t.n_struct].copy_from_slice(model.costs());
-    match t.optimize(&costs, iter_limit, deadline, health) {
-        StopReason::Optimal => {}
-        r => return abort(r, t.iters, health),
-    }
-    t.refresh_basics();
-
-    let x: Vec<f64> = (0..t.n_struct)
-        .map(|j| t.x[j].clamp(lb[j], ub[j]))
-        .collect();
-    let obj = x
-        .iter()
-        .zip(model.costs())
-        .map(|(xj, cj)| xj * cj)
-        .sum::<f64>();
-    if !obj.is_finite() || x.iter().any(|v| !v.is_finite()) {
-        health.nan_events += 1;
-        return abort(StopReason::Numerical, t.iters, health);
-    }
-    if let Some(d) = duals {
-        d.y = vec![0.0; t.m];
-        t.btran(&costs, &mut d.y);
-        clamp_duals(model, &mut d.y);
-    }
-    LpOutcome::Optimal {
-        x,
-        obj,
-        iters: t.iters,
     }
 }
 
@@ -1251,7 +1572,7 @@ mod tests {
     /// A random constraint row: (coefficients, sense 0/1/2, slack).
     type RandomRow = (Vec<(usize, i32)>, u8, i32);
 
-    /// A random 0-1 LP: `Le`, `Ge` and `Eq` rows over up to 120
+    /// A random 0-1 LP: `Le`, `Ge` and `Eq` rows over up to 160
     /// variables, a few of them fixed by their bounds. Each row holds at
     /// a hidden 0-1 point with `slack` to spare, except that one case in
     /// four tightens its first row past that point, so most cases are
@@ -1265,8 +1586,17 @@ mod tests {
         tighten: bool,
     }
 
+    /// Up to 140 rows: enough for K to outgrow [`FIRST_WIDTH`] twice.
     fn lp_case() -> impl Strategy<Value = LpCase> {
-        (40usize..120, 20usize..100).prop_flat_map(|(n, m)| {
+        lp_case_sized(40..160, 20..140)
+    }
+
+    /// [`lp_case`] over `vars` variables and `rows` rows.
+    fn lp_case_sized(
+        vars: std::ops::Range<usize>,
+        rows: std::ops::Range<usize>,
+    ) -> impl Strategy<Value = LpCase> {
+        (vars, rows).prop_flat_map(|(n, m)| {
             let row = (
                 proptest::collection::vec((0..n, -3i32..4), 2..8),
                 0u8..3,
@@ -1387,79 +1717,122 @@ mod tests {
         }
     }
 
-    /// Every nonzero of `inv` is listed exactly once, in its row's and its
-    /// column's list, and the lists agree with the bitset.
+    /// The sparse inverse of a tableau built with [`Kernels::Sparse`].
+    fn sparse<'t>(t: &'t Tableau) -> &'t BasisInverse {
+        match &t.binv {
+            Inverse::Sparse(b) => b,
+            _ => unreachable!("a dense tableau"),
+        }
+    }
+
+    /// K's positions and columns agree; every nonzero block entry is
+    /// listed exactly once, in its row's and its position's list; the
+    /// lists agree with the bitset; and past K every block entry is zero.
     fn assert_index_consistent(inv: &BasisInverse) {
-        let m = inv.m;
-        let mut in_rows = vec![0u32; m * m];
-        for (i, cols) in inv.row_nz.iter().enumerate() {
-            for &k in cols {
-                in_rows[i * m + k as usize] += 1;
+        let (m, k, stride) = (inv.m, inv.kcols.len(), inv.stride);
+        assert!(k <= stride && stride <= m, "K {k}, stride {stride}, m {m}");
+        for (p, &col) in inv.kcols.iter().enumerate() {
+            assert_eq!(inv.pos[col as usize], p as u32, "position of column {col}");
+        }
+        assert_eq!(inv.pos.iter().filter(|&&p| p != OUTSIDE).count(), k);
+        let mut in_rows = vec![0u32; m * k];
+        for (i, ps) in inv.row_nz.iter().enumerate() {
+            for &p in ps {
+                in_rows[i * k + p as usize] += 1;
             }
         }
-        let mut in_cols = vec![0u32; m * m];
-        for (k, rows) in inv.col_nz.iter().enumerate() {
+        let mut in_cols = vec![0u32; m * k];
+        for (p, rows) in inv.col_nz.iter().enumerate() {
             for &i in rows {
-                in_cols[i as usize * m + k] += 1;
+                in_cols[i as usize * k + p] += 1;
             }
         }
-        for e in 0..m * m {
-            let bit = inv.listed[e / 64] >> (e % 64) & 1 == 1;
-            assert_eq!(in_rows[e], u32::from(bit), "entry {e} in row lists");
-            assert_eq!(in_cols[e], u32::from(bit), "entry {e} in column lists");
-            assert!(bit || inv.val[e] == 0.0, "unlisted nonzero at {e}");
+        for i in 0..m {
+            for p in 0..stride {
+                let v = inv.block[i * stride + p];
+                if p >= k {
+                    assert_eq!(v, 0.0, "value past K at ({i}, {p})");
+                    continue;
+                }
+                let bit = inv.listed[i * inv.words + p / 64] >> (p % 64) & 1 == 1;
+                let e = i * k + p;
+                assert_eq!(in_rows[e], u32::from(bit), "({i}, {p}) in row lists");
+                assert_eq!(in_cols[e], u32::from(bit), "({i}, {p}) in column lists");
+                assert!(bit || v == 0.0, "unlisted nonzero at ({i}, {p})");
+            }
         }
     }
 
     /// A refactorization replaces the values wholesale; the rebuilt index
-    /// must describe them, so every kernel still matches its dense twin.
+    /// must describe them, so every kernel still matches an independent
+    /// dense twin that took the same pivots and refactorized too.
     #[test]
     fn refactorize_rebuilds_the_index() {
         let runner = TestRunner::new(ProptestConfig::with_cases(8));
         for case in 0..runner.cases() {
             let (model, lb, ub) = lp_case().generate(&mut runner.rng_for(case)).build();
             let mut t = Tableau::new(&model, &lb, &ub, Kernels::Sparse);
+            let mut twin = Tableau::new(&model, &lb, &ub, Kernels::Dense);
             let costs: Vec<f64> = (0..t.num_vars())
                 .map(|j| if j < t.n_art_start { 0.0 } else { 1.0 })
                 .collect();
-            t.optimize(
-                &costs,
-                40,
-                Deadline::unlimited(),
-                &mut SolverHealth::default(),
-            );
-            assert_index_consistent(&t.binv);
+            for tab in [&mut t, &mut twin] {
+                tab.optimize(
+                    &costs,
+                    40,
+                    Deadline::unlimited(),
+                    &mut SolverHealth::default(),
+                );
+            }
+            assert_eq!(t.basis, twin.basis, "case {case} pivots");
+            assert_index_consistent(sparse(&t));
             t.refactorize();
-            assert_index_consistent(&t.binv);
+            twin.refactorize();
+            assert_index_consistent(sparse(&t));
             let m = t.m;
             let (mut a, mut b) = (vec![0.0; m], vec![0.0; m]);
+            let mut mask = vec![0; m.div_ceil(64)];
+            let mut rows = Vec::new();
             for j in 0..t.num_vars() {
-                t.binv.ftran(&t.cols[j], &mut a);
-                t.binv.ftran_dense(&t.cols[j], &mut b);
+                twin.ftran(j, &mut b, &mut mask, &mut rows);
+                if t.ftran(j, &mut a, &mut mask, &mut rows) {
+                    let listed: Vec<usize> = rows.iter().map(|&i| i as usize).collect();
+                    let nonzero: Vec<usize> = (0..m).filter(|&i| b[i] != 0.0).collect();
+                    assert!(
+                        nonzero.iter().all(|i| listed.binary_search(i).is_ok()),
+                        "case {case} ftran {j}: rows {listed:?} miss {nonzero:?}"
+                    );
+                }
                 assert_eq!(bits(&a), bits(&b), "case {case} ftran {j}");
             }
-            let cb = || t.basis.iter().map(|&k| costs[k]);
-            t.binv.btran(cb(), &mut a);
-            t.binv.btran_dense(cb(), &mut b);
+            t.btran(&costs, &mut a);
+            twin.btran(&costs, &mut b);
             assert_eq!(bits(&a), bits(&b), "case {case} btran");
             t.binv.apply(&t.b, &mut a);
-            t.binv.apply_dense(&t.b, &mut b);
+            twin.binv.apply(&twin.b, &mut b);
             assert_eq!(bits(&a), bits(&b), "case {case} apply");
         }
     }
 
     /// The property's models reach every path the kernels serve: phase 1
-    /// over artificials, bound flips, and the periodic basic-value
-    /// refresh.
+    /// over artificials, bound flips, the periodic basic-value refresh, a
+    /// K that outgrows the first block width, and pivots both through
+    /// the row lists and in dense sweeps.
     #[test]
     fn kernel_property_covers_phase1_flips_and_refresh() {
         let runner = TestRunner::new(ProptestConfig::with_cases(KERNEL_CASES));
         let (mut phase1, mut flips, mut refresh) = (false, false, false);
+        let (mut relayout, mut dense, mut listed) = (false, false, false);
         for i in 0..runner.cases() {
             let (model, lb, ub) = lp_case().generate(&mut runner.rng_for(i)).build();
-            let artificials = Tableau::new(&model, &lb, &ub, Kernels::Sparse).num_vars()
-                > model.num_vars() + model.num_rows();
-            let (out, _, health) = solve_case(&model, &lb, &ub, Kernels::Sparse);
+            let mut t = Tableau::new(&model, &lb, &ub, Kernels::Sparse);
+            let artificials = t.num_vars() > model.num_vars() + model.num_rows();
+            let mut health = SolverHealth::default();
+            let out = t.solve(100_000, Deadline::unlimited(), &mut health, None);
+            let inv = sparse(&t);
+            relayout |= inv.relayouts > 0;
+            dense |= inv.dense_pivots > 0;
+            listed |= health.pivots > u64::from(inv.dense_pivots);
             // Every `optimize` call that ends optimal spends one
             // iteration finding no entering variable; every other
             // iteration pivots or flips a bound.
@@ -1475,6 +1848,42 @@ mod tests {
         assert!(
             phase1 && flips && refresh,
             "phase 1 {phase1}, bound flips {flips}, refresh {refresh}"
+        );
+        assert!(
+            relayout && dense && listed,
+            "re-layout {relayout}, dense pivots {dense}, listed pivots {listed}"
+        );
+    }
+
+    /// A relaxation of a large model that stops at a 300-iteration cap
+    /// keeps its inverse in at most `m × (pivots + 1)` values, in a block
+    /// allocated at most twice as wide as K (its stride doubles), so its
+    /// memory grows with the pivots, not with `m²`.
+    #[test]
+    fn inverse_store_grows_with_pivots_not_rows() {
+        let mut rng = TestRunner::new(ProptestConfig::with_cases(1)).rng_for(0);
+        let (model, lb, ub) = lp_case_sized(6_000..6_001, 5_000..5_001)
+            .generate(&mut rng)
+            .build();
+        let m = model.num_rows();
+        let mut t = Tableau::new(&model, &lb, &ub, Kernels::Sparse);
+        let mut health = SolverHealth::default();
+        let out = t.solve(300, Deadline::unlimited(), &mut health, None);
+        assert_eq!(out, LpOutcome::Limit { iters: 300 });
+        let (inv, pivots) = (sparse(&t), health.pivots as usize);
+        let k = inv.kcols.len();
+        assert!(k > FIRST_WIDTH, "K {k} never outgrew the first block");
+        // A column of `m` per block position in use, plus the diagonal
+        // entries of the columns outside K.
+        let kept = m * k + (m - k);
+        assert!(
+            kept <= m * (pivots + 1),
+            "{kept} values kept for {m} rows and {pivots} pivots"
+        );
+        assert!(
+            inv.block.len() <= 2 * m * k,
+            "a {m} × {} block for K {k}",
+            inv.stride
         );
     }
 }
