@@ -24,10 +24,11 @@ pub struct SolverConfig {
     /// Models with more rows than this are declined with
     /// [`Status::Unknown`] — the analogue of the memory limits that left a
     /// few of the paper's functions unsolved. The simplex's basis inverse
-    /// grows with the pivots, by `8·rows` bytes for each row that has
-    /// been a pivot row, but the refactorization that bounds its drift is
-    /// dense: it holds two `rows × rows` matrices (`16·rows²` bytes),
-    /// costs `O(rows³)`, and leaves a `rows × rows` inverse behind. The
+    /// grows with the pivots, by at most `8·rows` bytes (8 per row its
+    /// pivots have reached) for each row that has been a pivot row, but
+    /// the refactorization that bounds its drift is dense: it holds two
+    /// `rows × rows` matrices (`16·rows²` bytes), costs `O(rows³)`, and
+    /// leaves a `rows × rows` inverse behind. The
     /// deterministic regime's 600 rows also decline most compiled
     /// functions before the simplex starts (ROADMAP item 1).
     pub max_rows: usize,

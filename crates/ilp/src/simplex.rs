@@ -18,29 +18,45 @@
 //! Every relaxation starts from a slack-and-artificial basis, whose
 //! inverse is diagonal, and a pivot only combines the pivot row into other
 //! rows. So until the first refactorization, the off-diagonal nonzeros of
-//! `B⁻¹` lie in the columns that have been pivot rows (the set K), and
-//! [`BasisInverse`] stores those columns in a row-major block whose width
-//! doubles as K grows, and the other columns as their diagonal entries: a
-//! relaxation that pivots `p` times holds `O(m·p)` values, not `m²`.
-//! ftran, btran, the update and the basic-value refresh visit indexed
-//! entries only, so an iteration costs what the nonzeros it touches cost —
-//! the update `|w| × |pivot row|`, ftran the entering column's columns of
-//! `B⁻¹`. A row whose pattern covers more than a quarter of its K-entries
-//! is swept in full instead, as the dense kernels sweep every row:
-//! streaming memory beats hopping through a long list.
+//! `B⁻¹` lie in the columns that have been pivot rows (the set K), and in
+//! the rows those combinations have reached. [`BasisInverse`] keeps every
+//! other column as its diagonal entry, and K's columns in a block with one
+//! row per reached row, whose width doubles as K grows: a relaxation that
+//! pivots `p` times holds `O(m·p)` values at most, not `m²`, and each
+//! widening copies only the reached rows. ftran, btran, the update and
+//! the basic-value refresh visit listed entries only, so an iteration
+//! costs what the nonzeros it touches cost — the update `|w| × |pivot
+//! row|`, ftran the entering column's columns of `B⁻¹`. A row whose
+//! pattern covers more than a quarter of its K-entries is swept in full
+//! instead, as the dense kernels sweep every row: streaming memory beats
+//! hopping through a long list.
 //!
-//! The rest of an iteration follows what moved, too. Pricing keeps the
-//! reduced costs from one iteration to the next and recomputes only those
-//! of the columns with an entry in a row whose dual changed; the ratio
-//! test, the basic-value step and the update visit the entering column's
-//! nonzero rows in ascending order. Each falls back to a full sweep when
-//! what moved is dense. Skipped terms are products with an exact zero and
-//! skipped recomputations would read the same operands, so every value,
-//! and therefore every pivot, is the one the full-length dense sweeps
-//! compute; the test build keeps those sweeps, over an `m × m` inverse of
-//! their own, as the oracle. The rare refactorization is a dense `O(m³)`
-//! Gauss–Jordan elimination into an `m × m` inverse, after which K is
-//! every column; the branch-and-bound driver declines models above
+//! The rest of an iteration follows what moved, too:
+//!
+//! * btran visits, in ascending order, only the basis rows whose cost is
+//!   nonzero (a row set kept at each pivot), and each dual buffer zeroes
+//!   only the entries its previous btran wrote;
+//! * pricing keeps the reduced costs from one iteration to the next and
+//!   recomputes only those of the columns with an entry in a row whose
+//!   dual changed, comparing only the duals either btran wrote; then it
+//!   scans, in index order, the set of candidates whose reduced cost
+//!   prices as improving or is NaN, kept exact wherever a reduced cost or
+//!   the bound a candidate sits at changes;
+//! * ftran zeroes only the previous entering column's rows, and the ratio
+//!   test, the basic-value step and the update visit the entering
+//!   column's nonzero rows in ascending order.
+//!
+//! Each falls back to a full sweep when what moved is dense. Skipped terms
+//! are products with an exact zero, skipped recomputations would read the
+//! same operands, and skipped candidates are ones neither Dantzig's nor
+//! Bland's rule would pick, so every value, and therefore every pivot, is
+//! the one the full-length dense sweeps compute. The test build keeps
+//! those sweeps, over an `m × m` inverse of their own, as the oracle, and
+//! checks every iteration's choice of entering variable, duals and
+//! entering-column buffer against full-length recomputations. The rare
+//! refactorization is a dense `O(m³)` Gauss–Jordan elimination into an
+//! `m × m` inverse, after which K is every column and every row has a
+//! block row; the branch-and-bound driver declines models above
 //! [`crate::SolverConfig::max_rows`] (as CPLEX's memory limits
 //! effectively did in the paper's experiments, where a few functions went
 //! unsolved).
@@ -158,16 +174,47 @@ fn clamp_duals(model: &Model, y: &mut Vec<f64>) {
 
 /// A row pattern longer than `|K| / DENSE_SHARE` positions is swept in
 /// full: the sweep streams contiguous memory, the list jumps around it.
-/// The same share decides when the entering column's rows, or the rows
-/// whose dual changed, are too many to visit one by one.
+/// The same share decides when the entering column's rows, the rows
+/// whose dual changed, or the duals a btran wrote are too many to visit
+/// one by one.
 const DENSE_SHARE: usize = 4;
 
 /// Width of the K-block when the first column joins K; it doubles (up to
 /// `m`) each time K fills it.
 const FIRST_WIDTH: usize = 32;
 
-/// [`BasisInverse::pos`] of a column outside K.
+/// [`BasisInverse::pos`] of a column outside K, and
+/// [`BasisInverse::slot`] of a row without a block row.
 const OUTSIDE: u32 = u32::MAX;
+
+/// The set bits of `words`, ascending.
+fn ones(words: impl IntoIterator<Item = u64>) -> impl Iterator<Item = usize> {
+    words.into_iter().enumerate().flat_map(|(w, mut bits)| {
+        std::iter::from_fn(move || {
+            (bits != 0).then(|| {
+                let b = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                w * 64 + b
+            })
+        })
+    })
+}
+
+/// Set or clear bit `i` of `words`.
+fn set_bit(words: &mut [u64], i: usize, on: bool) {
+    let bit = 1u64 << (i % 64);
+    if on {
+        words[i / 64] |= bit;
+    } else {
+        words[i / 64] &= !bit;
+    }
+}
+
+/// True when bit `i` of `words` is set.
+#[cfg(test)]
+fn bit(words: &[u64], i: usize) -> bool {
+    words[i / 64] >> (i % 64) & 1 == 1
+}
 
 /// Which implementation of the basis-inverse kernels a tableau runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -188,11 +235,15 @@ enum Kernels {
 /// refactorization, row `i`'s nonzeros lie in `{i} ∪ K`, where K is the
 /// set of columns that have been pivot rows: every column outside K is
 /// still its starting diagonal entry, kept in `diag`. The K-columns live
-/// in a row-major block with one position per column, in the order the
-/// columns joined; its stride doubles (up to `m`) as K grows, so a
-/// relaxation that pivots `p` times holds `O(m·p)` values, not `m²`.
-/// [`BasisInverse::reset`] puts a refactorized inverse in the block with
-/// every column in K.
+/// in a block with one position per column, in the order the columns
+/// joined, and one *slot* (block row) per row that lists an entry, in
+/// the order the rows listed their first: a row that no pivot has reached
+/// has no slot, and its K-entries are all zero. The stride doubles (up to
+/// `m`) as K grows, and each widening moves the slotted rows only, so a
+/// relaxation that pivots `p` times holds at most `O(m·p)` values, not
+/// `m²`, and usually far fewer. [`BasisInverse::reset`] puts a
+/// refactorized inverse in the block with every column in K and every row
+/// in its own slot.
 ///
 /// Beside the values, the update maintains the set of *listed* block
 /// entries: every nonzero entry is listed, and a listed entry may since
@@ -212,19 +263,25 @@ struct BasisInverse {
     kcols: Vec<u32>,
     /// `pos[k]`: column `k`'s block position, or [`OUTSIDE`].
     pos: Vec<u32>,
-    /// Row-major block: entry `(i, kcols[p])` at `block[i * stride + p]`;
-    /// every unlisted entry is exactly zero.
+    /// `slot[i]`: row `i`'s block row, or [`OUTSIDE`] while row `i` lists
+    /// no entry.
+    slot: Vec<u32>,
+    /// `slot_row[s]`: the row whose block row is `s`.
+    slot_row: Vec<u32>,
+    /// Slot-major block: entry `(slot_row[s], kcols[p])` at
+    /// `block[s * stride + p]`; every unlisted entry is exactly zero.
     block: Vec<f64>,
     stride: usize,
-    /// `col_nz[p]`: the rows `i` of the listed entries `(i, kcols[p])`.
+    /// `col_nz[p]`: the slots `s` of the listed entries
+    /// `(slot_row[s], kcols[p])`.
     col_nz: Vec<Vec<u32>>,
-    /// `row_nz[i]`: the positions `p` of the listed entries of row `i`.
+    /// `row_nz[s]`: the positions `p` of slot `s`'s listed entries.
     row_nz: Vec<Vec<u32>>,
-    /// Bit `p` of row `i`'s run of `words` words is set when
-    /// `(i, kcols[p])` is listed.
+    /// Bit `p` of slot `s`'s run of `words` words is set when
+    /// `(slot_row[s], kcols[p])` is listed.
     listed: Vec<u64>,
     words: usize,
-    /// `full[i]`: every position below it is listed in row `i`, as it is
+    /// `full[s]`: every position below it is listed in slot `s`, as it is
     /// once a dense pivot row has reached the row.
     full: Vec<u32>,
     /// btran's accumulator, one entry per block position.
@@ -246,13 +303,15 @@ impl BasisInverse {
             diag: vec![0.0; m],
             kcols: Vec::new(),
             pos: vec![OUTSIDE; m],
+            slot: vec![OUTSIDE; m],
+            slot_row: Vec::new(),
             block: Vec::new(),
             stride: 0,
             col_nz: Vec::new(),
-            row_nz: vec![Vec::new(); m],
+            row_nz: Vec::new(),
             listed: Vec::new(),
             words: 0,
-            full: vec![0; m],
+            full: Vec::new(),
             acc: Vec::new(),
             #[cfg(test)]
             relayouts: 0,
@@ -265,24 +324,41 @@ impl BasisInverse {
         self.diag[i] = v;
     }
 
-    /// Add `(i, kcols[p])` to the index unless it is listed already.
-    fn list(&mut self, i: usize, p: usize) {
-        let word = &mut self.listed[i * self.words + p / 64];
+    /// Row `i`'s slot. A row without one is given the next, all zero and
+    /// listing nothing: callers list an entry in it at once.
+    fn slot_of(&mut self, i: usize) -> usize {
+        if self.slot[i] != OUTSIDE {
+            return self.slot[i] as usize;
+        }
+        let s = self.slot_row.len();
+        self.slot[i] = s as u32;
+        self.slot_row.push(i as u32);
+        self.block.resize((s + 1) * self.stride, 0.0);
+        self.listed.resize((s + 1) * self.words, 0);
+        self.row_nz.push(Vec::new());
+        self.full.push(0);
+        s
+    }
+
+    /// Add `(slot_row[s], kcols[p])` to the index unless it is listed
+    /// already.
+    fn list(&mut self, s: usize, p: usize) {
+        let word = &mut self.listed[s * self.words + p / 64];
         let mask = 1u64 << (p % 64);
         if *word & mask == 0 {
             *word |= mask;
-            self.row_nz[i].push(p as u32);
-            self.col_nz[p].push(i as u32);
+            self.row_nz[s].push(p as u32);
+            self.col_nz[p].push(s as u32);
         }
     }
 
-    /// List every block entry of row `i`.
-    fn fill_row(&mut self, i: usize) {
+    /// List every block entry of slot `s`.
+    fn fill_row(&mut self, s: usize) {
         let k = self.kcols.len();
-        for p in self.full[i] as usize..k {
-            self.list(i, p);
+        for p in self.full[s] as usize..k {
+            self.list(s, p);
         }
-        self.full[i] = k as u32;
+        self.full[s] = k as u32;
     }
 
     /// Column `r`, outside K, joins it: its diagonal entry moves into the
@@ -296,26 +372,27 @@ impl BasisInverse {
         self.kcols.push(r as u32);
         self.pos[r] = p as u32;
         self.col_nz.push(Vec::new());
-        self.block[r * self.stride + p] = self.diag[r];
-        self.list(r, p);
+        let s = self.slot_of(r);
+        self.block[s * self.stride + p] = self.diag[r];
+        self.list(s, p);
     }
 
     /// Widen the block and its listed bits to rows of `stride`
-    /// positions, in place: each row moves, last row first, to its new
+    /// positions, in place: each slot moves, last slot first, to its new
     /// offset, which is never below its old one, and the rest of its new
     /// row is zeroed.
     fn relayout(&mut self, stride: usize) {
-        let (m, k) = (self.m, self.kcols.len());
+        let (slots, k) = (self.slot_row.len(), self.kcols.len());
         let words = stride.div_ceil(64);
-        self.block.resize(m * stride, 0.0);
-        self.listed.resize(m * words, 0);
-        for i in (0..m).rev() {
+        self.block.resize(slots * stride, 0.0);
+        self.listed.resize(slots * words, 0);
+        for s in (0..slots).rev() {
             self.block
-                .copy_within(i * self.stride..i * self.stride + k, i * stride);
-            self.block[i * stride + k..(i + 1) * stride].fill(0.0);
+                .copy_within(s * self.stride..s * self.stride + k, s * stride);
+            self.block[s * stride + k..(s + 1) * stride].fill(0.0);
             self.listed
-                .copy_within(i * self.words..(i + 1) * self.words, i * words);
-            self.listed[i * words + self.words..(i + 1) * words].fill(0);
+                .copy_within(s * self.words..(s + 1) * self.words, s * words);
+            self.listed[s * words + self.words..(s + 1) * words].fill(0);
         }
         #[cfg(test)]
         {
@@ -325,10 +402,10 @@ impl BasisInverse {
         self.words = words;
     }
 
-    /// `w = B⁻¹ a` for a sparse column `a`; each `w_i` sums over `a`'s
-    /// entries in order. Sets in `mask` the bit of every row it writes.
+    /// `w = B⁻¹ a` for a sparse column `a`, into a zeroed `w`; each `w_i`
+    /// sums over `a`'s entries in order. Sets in `mask` the bit of every
+    /// row it writes.
     fn ftran(&self, a: &[(usize, f64)], w: &mut [f64], mask: &mut [u64]) {
-        w.fill(0.0);
         for &(k, c) in a {
             match self.pos[k] {
                 OUTSIDE => {
@@ -337,9 +414,9 @@ impl BasisInverse {
                 }
                 p => {
                     let p = p as usize;
-                    for &i in &self.col_nz[p] {
-                        let i = i as usize;
-                        w[i] += self.block[i * self.stride + p] * c;
+                    for &s in &self.col_nz[p] {
+                        let i = self.slot_row[s as usize] as usize;
+                        w[i] += self.block[s as usize * self.stride + p] * c;
                         mask[i / 64] |= 1 << (i % 64);
                     }
                 }
@@ -353,32 +430,43 @@ impl BasisInverse {
         len * DENSE_SHARE > self.kcols.len()
     }
 
-    /// `y = cᵦᵀ B⁻¹`, where `cb` yields the basic costs row by row; each
-    /// `y_k` sums over ascending basis rows.
-    fn btran(&mut self, cb: impl Iterator<Item = f64>, y: &mut [f64]) {
+    /// `y = cᵦᵀ B⁻¹` into a zeroed `y`, where `rows` yields, ascending,
+    /// the basis rows whose cost is nonzero with their costs; each `y_k`
+    /// sums over them in order. Sets in `written` the bit of every entry
+    /// it writes.
+    fn btran(
+        &mut self,
+        rows: impl Iterator<Item = (usize, f64)>,
+        y: &mut [f64],
+        written: &mut [u64],
+    ) {
         let (k, stride) = (self.kcols.len(), self.stride);
-        y.fill(0.0);
         self.acc.clear();
         self.acc.resize(k, 0.0);
-        for (i, c) in cb.enumerate() {
-            if c != 0.0 {
-                if self.pos[i] == OUTSIDE {
-                    y[i] += c * self.diag[i];
+        for (i, c) in rows {
+            if self.pos[i] == OUTSIDE {
+                y[i] += c * self.diag[i];
+                written[i / 64] |= 1 << (i % 64);
+            }
+            // A row without a slot has no K-entry to add.
+            let s = match self.slot[i] {
+                OUTSIDE => continue,
+                s => s as usize,
+            };
+            let row = &self.block[s * stride..s * stride + k];
+            if self.dense(self.row_nz[s].len()) {
+                for (yp, bv) in self.acc.iter_mut().zip(row) {
+                    *yp += c * bv;
                 }
-                let row = &self.block[i * stride..i * stride + k];
-                if self.dense(self.row_nz[i].len()) {
-                    for (yp, bv) in self.acc.iter_mut().zip(row) {
-                        *yp += c * bv;
-                    }
-                } else {
-                    for &p in &self.row_nz[i] {
-                        self.acc[p as usize] += c * row[p as usize];
-                    }
+            } else {
+                for &p in &self.row_nz[s] {
+                    self.acc[p as usize] += c * row[p as usize];
                 }
             }
         }
         for (&col, &v) in self.kcols.iter().zip(&self.acc) {
             y[col as usize] = v;
+            written[col as usize / 64] |= 1 << (col % 64);
         }
     }
 
@@ -391,9 +479,9 @@ impl BasisInverse {
                     OUTSIDE => out[k] += self.diag[k] * rk,
                     p => {
                         let p = p as usize;
-                        for &i in &self.col_nz[p] {
-                            let i = i as usize;
-                            out[i] += self.block[i * self.stride + p] * rk;
+                        for &s in &self.col_nz[p] {
+                            let i = self.slot_row[s as usize] as usize;
+                            out[i] += self.block[s as usize * self.stride + p] * rk;
                         }
                     }
                 }
@@ -406,30 +494,36 @@ impl BasisInverse {
     /// nonzero: column `r` joins K, row `r` is divided by `w_r` and
     /// eliminated from every other row `i` with `|w_i| > 1e-12`, over row
     /// `r`'s nonzero positions — or over the whole block row when those
-    /// are too many to visit one by one.
+    /// are too many to visit one by one. A row reached for the first time
+    /// gets its slot.
     fn pivot(&mut self, r: usize, w: &[f64], rows: &[u32]) {
         if self.pos[r] == OUTSIDE {
             self.join(r);
         }
         let (k, stride) = (self.kcols.len(), self.stride);
+        // Row r lists its entry in column r, so it has a slot.
+        let sr = self.slot[r] as usize;
         let wr = w[r];
-        let row_r = r * stride..r * stride + k;
-        if self.dense(self.row_nz[r].len()) {
+        let row_r = sr * stride..sr * stride + k;
+        if self.dense(self.row_nz[sr].len()) {
             for v in &mut self.block[row_r.clone()] {
                 *v /= wr;
             }
         } else {
-            for &p in &self.row_nz[r] {
-                self.block[r * stride + p as usize] /= wr;
+            for &p in &self.row_nz[sr] {
+                self.block[sr * stride + p as usize] /= wr;
             }
         }
         // Row r's nonzeros; its listed zeros would only subtract zero
         // products from the other rows.
-        let pivot_row: Vec<(usize, f64)> = self.row_nz[r]
+        let pivot_row: Vec<(usize, f64)> = self.row_nz[sr]
             .iter()
-            .map(|&p| (p as usize, self.block[r * stride + p as usize]))
+            .map(|&p| (p as usize, self.block[sr * stride + p as usize]))
             .filter(|&(_, v)| v != 0.0)
             .collect();
+        if pivot_row.is_empty() {
+            return;
+        }
         if self.dense(pivot_row.len()) {
             #[cfg(test)]
             {
@@ -441,8 +535,9 @@ impl BasisInverse {
                 if i != r && f.abs() > 1e-12 {
                     // Row i gains this many entries anyway: list all of
                     // them once instead of checking each new one.
-                    self.fill_row(i);
-                    for (v, p) in self.block[i * stride..i * stride + k]
+                    let s = self.slot_of(i);
+                    self.fill_row(s);
+                    for (v, p) in self.block[s * stride..s * stride + k]
                         .iter_mut()
                         .zip(&pivot_row)
                     {
@@ -454,13 +549,14 @@ impl BasisInverse {
             for &i in rows {
                 let (i, f) = (i as usize, w[i as usize]);
                 if i != r && f.abs() > 1e-12 {
+                    let s = self.slot_of(i);
                     for &(p, pv) in &pivot_row {
-                        let v = &mut self.block[i * stride + p];
+                        let v = &mut self.block[s * stride + p];
                         let was_zero = *v == 0.0;
                         *v -= f * pv;
                         // A nonzero entry is listed already.
                         if was_zero {
-                            self.list(i, p);
+                            self.list(s, p);
                         }
                     }
                 }
@@ -469,17 +565,20 @@ impl BasisInverse {
     }
 
     /// Replace the values by a freshly factorized `m × m` inverse, with
-    /// every column in K at its own position, and re-index its nonzeros.
+    /// every column in K at its own position and every row in its own
+    /// slot, and re-index its nonzeros.
     fn reset(&mut self, inv: Vec<f64>) {
         let m = self.m;
         self.kcols = (0..m as u32).collect();
         self.pos = self.kcols.clone();
+        self.slot = self.kcols.clone();
+        self.slot_row = self.kcols.clone();
         self.block = inv;
         self.stride = m;
         self.words = m.div_ceil(64);
         self.listed = vec![0; m * self.words];
-        self.full.fill(0);
-        self.row_nz.iter_mut().for_each(Vec::clear);
+        self.full = vec![0; m];
+        self.row_nz = vec![Vec::new(); m];
         self.col_nz = vec![Vec::new(); m];
         for i in 0..m {
             for p in 0..m {
@@ -492,7 +591,8 @@ impl BasisInverse {
 }
 
 /// The dense kernels the sparse ones replace: full-length sweeps of an
-/// `m × m` inverse, in the same summation order.
+/// `m × m` inverse, in the same summation order. They take their rows
+/// and zeroed buffers from the tableau, as the sparse kernels do.
 #[cfg(test)]
 struct DenseInverse {
     m: usize,
@@ -509,7 +609,6 @@ impl DenseInverse {
     }
 
     fn ftran(&self, a: &[(usize, f64)], w: &mut [f64]) {
-        w.fill(0.0);
         for &(ri, c) in a {
             for (i, wi) in w.iter_mut().enumerate() {
                 *wi += self.val[i * self.m + ri] * c;
@@ -517,15 +616,16 @@ impl DenseInverse {
         }
     }
 
-    fn btran(&self, cb: impl Iterator<Item = f64>, y: &mut [f64]) {
-        y.fill(0.0);
-        for (i, c) in cb.enumerate() {
-            if c != 0.0 {
-                let row = &self.val[i * self.m..(i + 1) * self.m];
-                for (yk, bv) in y.iter_mut().zip(row) {
-                    *yk += c * bv;
-                }
+    /// Sweeps whole rows, so it counts every entry as written.
+    fn btran(&self, rows: impl Iterator<Item = (usize, f64)>, y: &mut [f64], written: &mut [u64]) {
+        for (i, c) in rows {
+            let row = &self.val[i * self.m..(i + 1) * self.m];
+            for (yk, bv) in y.iter_mut().zip(row) {
+                *yk += c * bv;
             }
+        }
+        for i in 0..self.m {
+            set_bit(written, i, true);
         }
     }
 
@@ -577,11 +677,16 @@ impl Inverse {
         }
     }
 
-    fn btran(&mut self, cb: impl Iterator<Item = f64>, y: &mut [f64]) {
+    fn btran(
+        &mut self,
+        rows: impl Iterator<Item = (usize, f64)>,
+        y: &mut [f64],
+        written: &mut [u64],
+    ) {
         match self {
-            Inverse::Sparse(b) => b.btran(cb, y),
+            Inverse::Sparse(b) => b.btran(rows, y, written),
             #[cfg(test)]
-            Inverse::Dense(d) => d.btran(cb, y),
+            Inverse::Dense(d) => d.btran(rows, y, written),
         }
     }
 
@@ -610,6 +715,177 @@ impl Inverse {
     }
 }
 
+/// A dual vector and the entries its last btran wrote. Every other entry
+/// is `+0.0`, so the next btran into it zeroes only those.
+struct Duals {
+    y: Vec<f64>,
+    /// Bit `i` is set when the last btran wrote `y[i]`.
+    written: Vec<u64>,
+}
+
+impl Duals {
+    fn new(m: usize) -> Duals {
+        Duals {
+            y: vec![0.0; m],
+            written: vec![0; m.div_ceil(64)],
+        }
+    }
+
+    /// Zero what the last btran wrote: entry by entry, or the whole
+    /// vector when that is more than a quarter of it.
+    fn clear(&mut self) {
+        let count: usize = self.written.iter().map(|w| w.count_ones() as usize).sum();
+        if count * DENSE_SHARE > self.y.len() {
+            self.y.fill(0.0);
+        } else {
+            for i in ones(self.written.iter().copied()) {
+                self.y[i] = 0.0;
+            }
+        }
+        self.written.fill(0);
+    }
+}
+
+/// The entering column `w = B⁻¹ a_j` and the rows a step visits.
+struct Column {
+    w: Vec<f64>,
+    /// ftran's marks of the rows it writes; all zero between calls.
+    mask: Vec<u64>,
+    /// When `sparse`, every row where `w` may be nonzero, ascending;
+    /// otherwise `w` may be nonzero anywhere and a step sweeps every row.
+    rows: Vec<u32>,
+    sparse: bool,
+}
+
+impl Column {
+    fn new(m: usize) -> Column {
+        Column {
+            w: vec![0.0; m],
+            mask: vec![0; m.div_ceil(64)],
+            rows: Vec::new(),
+            sparse: true,
+        }
+    }
+}
+
+/// True when the reduced cost `dj` is NaN, or improves the objective by
+/// more than `dtol` per unit step off the variable's upper bound if
+/// `upper`, else off its lower one.
+fn is_hot(dj: f64, upper: bool, dtol: f64) -> bool {
+    let sigma = if upper { -1.0 } else { 1.0 };
+    dj.is_nan() || dj * sigma < -dtol
+}
+
+/// What pricing chose.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Priced {
+    /// Variable `j` enters, its reduced cost `d`, moving by `sigma`'s sign
+    /// off its bound.
+    Enter { j: usize, d: f64, sigma: f64 },
+    /// No candidate improves.
+    Optimal,
+    /// A reduced cost is NaN.
+    Nan,
+}
+
+/// The candidates' reduced costs, kept from one iteration to the next,
+/// and the set pricing scans.
+struct Pricing {
+    /// `d[j]`: candidate `j`'s reduced cost. Every other entry is zero,
+    /// which never prices as improving.
+    d: Vec<f64>,
+    /// Bit `j` is set when `d[j]` is NaN or prices as improving from the
+    /// bound `j` sits at: every other variable is one no rule picks.
+    hot: Vec<u64>,
+    /// Dual-feasibility tolerance.
+    dtol: f64,
+}
+
+impl Pricing {
+    fn new(n: usize, dtol: f64) -> Pricing {
+        Pricing {
+            d: vec![0.0; n],
+            hot: vec![0; n.div_ceil(64)],
+            dtol,
+        }
+    }
+
+    /// Set `d[j]` and its bit, `j` sitting at its upper bound if `upper`.
+    fn set(&mut self, j: usize, dj: f64, upper: bool) {
+        self.d[j] = dj;
+        self.mark(j, upper);
+    }
+
+    /// Re-mark `j` after the bound it sits at changed.
+    fn mark(&mut self, j: usize, upper: bool) {
+        let hot = is_hot(self.d[j], upper, self.dtol);
+        set_bit(&mut self.hot, j, hot);
+    }
+
+    /// Re-mark every variable, `at_upper[j]` telling the bound `j` sits
+    /// at.
+    fn mark_all(&mut self, at_upper: &[bool]) {
+        let dtol = self.dtol;
+        let entries = self.d.chunks(64).zip(at_upper.chunks(64));
+        for (word, (ds, ups)) in self.hot.iter_mut().zip(entries) {
+            *word = (ds.iter().zip(ups).enumerate()).fold(0, |w, (b, (&dj, &up))| {
+                w | u64::from(is_hot(dj, up, dtol)) << b
+            });
+        }
+    }
+
+    /// Scan the hot set in index order: Dantzig's rule takes the largest
+    /// |d| (the first among equals), Bland's the first improving
+    /// candidate, and a NaN reached first stops the solve — what a scan
+    /// over every variable would choose, since it skips none of these.
+    fn choose(&self, at_upper: &[bool], bland: bool) -> Priced {
+        let mut enter = Priced::Optimal;
+        let mut best_score = 0.0_f64;
+        for j in ones(self.hot.iter().copied()) {
+            let dj = self.d[j];
+            if dj.is_nan() {
+                return Priced::Nan;
+            }
+            let sigma = if at_upper[j] { -1.0 } else { 1.0 };
+            if bland {
+                return Priced::Enter { j, d: dj, sigma };
+            }
+            let score = dj.abs();
+            if enter == Priced::Optimal || score > best_score {
+                best_score = score;
+                enter = Priced::Enter { j, d: dj, sigma };
+            }
+        }
+        enter
+    }
+}
+
+/// Pricing's full scan over every variable, the oracle of
+/// [`Pricing::choose`].
+#[cfg(test)]
+fn choose_full(d: &[f64], at_upper: &[bool], dtol: f64, bland: bool) -> Priced {
+    let mut enter = Priced::Optimal;
+    let mut best_score = 0.0_f64;
+    for (j, (&dj, &upper)) in d.iter().zip(at_upper).enumerate() {
+        if dj.is_nan() {
+            return Priced::Nan;
+        }
+        let sigma = if upper { -1.0 } else { 1.0 };
+        // Improving when moving off the bound reduces cost.
+        if dj * sigma < -dtol {
+            if bland {
+                return Priced::Enter { j, d: dj, sigma };
+            }
+            let score = dj.abs();
+            if enter == Priced::Optimal || score > best_score {
+                best_score = score;
+                enter = Priced::Enter { j, d: dj, sigma };
+            }
+        }
+    }
+    enter
+}
+
 struct Tableau<'a> {
     model: &'a Model,
     /// Sparse columns, indexed by variable: (row, coefficient).
@@ -621,6 +897,9 @@ struct Tableau<'a> {
     in_basis: Vec<bool>,
     /// basis[row] = variable index basic in that row.
     basis: Vec<usize>,
+    /// Bit `i` is set when `basis[i]` has a nonzero cost under the costs
+    /// [`Tableau::optimize`] runs: the rows btran visits.
+    cost_rows: Vec<u64>,
     binv: Inverse,
     b: Vec<f64>,
     m: usize,
@@ -630,6 +909,13 @@ struct Tableau<'a> {
     art_of_row: Vec<Option<usize>>,
     iters: u64,
     last_refactor: u64,
+    /// Reprices that fell back to pricing every candidate (test
+    /// coverage).
+    #[cfg(test)]
+    reprice_fallbacks: u32,
+    /// Iterations whose shortcuts were checked against full sweeps.
+    #[cfg(test)]
+    checked: u64,
 }
 
 impl<'a> Tableau<'a> {
@@ -697,6 +983,7 @@ impl<'a> Tableau<'a> {
             at_upper,
             in_basis,
             basis,
+            cost_rows: vec![0; m.div_ceil(64)],
             binv,
             b,
             m,
@@ -705,6 +992,10 @@ impl<'a> Tableau<'a> {
             art_of_row: vec![None; m],
             iters: 0,
             last_refactor: 0,
+            #[cfg(test)]
+            reprice_fallbacks: 0,
+            #[cfg(test)]
+            checked: 0,
         };
         for (ri, sign) in art_cols {
             let ai = t.cols.len();
@@ -731,41 +1022,95 @@ impl<'a> Tableau<'a> {
         self.cols.len()
     }
 
-    /// `w = B⁻¹ · column(j)`. Returns true when `rows` then holds, in
-    /// ascending order, every row where `w` may be nonzero, and false
-    /// when a step should sweep every row instead: those rows are too
-    /// many to be worth listing, or the kernels keep no index. `mask` is
-    /// all zero before and after.
-    fn ftran(&self, j: usize, w: &mut [f64], mask: &mut [u64], rows: &mut Vec<u32>) -> bool {
+    /// `col.w = B⁻¹ · column(j)`, after zeroing the rows of the previous
+    /// column. `col.rows` then holds, ascending, every row where `w` may
+    /// be nonzero, unless a step should sweep every row instead: those
+    /// rows are too many to be worth listing, or the kernels keep no
+    /// index.
+    fn ftran(&self, j: usize, col: &mut Column) {
+        #[cfg(test)]
+        if col.sparse {
+            let mut listed = vec![false; self.m];
+            col.rows.iter().for_each(|&i| listed[i as usize] = true);
+            for (i, (&v, listed)) in col.w.iter().zip(listed).enumerate() {
+                assert!(listed || v == 0.0, "w[{i}] = {v} outside the last pattern");
+            }
+        }
+        if col.sparse {
+            for &i in &col.rows {
+                col.w[i as usize] = 0.0;
+            }
+        } else {
+            col.w.fill(0.0);
+        }
+        col.rows.clear();
         match &self.binv {
             Inverse::Sparse(b) => {
-                b.ftran(&self.cols[j], w, mask);
-                let touched: usize = mask.iter().map(|x| x.count_ones() as usize).sum();
-                let sparse = touched * DENSE_SHARE <= self.m;
-                rows.clear();
-                for (base, word) in (0u32..).step_by(64).zip(mask.iter_mut()) {
-                    let mut bits = std::mem::take(word);
-                    if sparse {
-                        while bits != 0 {
-                            rows.push(base + bits.trailing_zeros());
-                            bits &= bits - 1;
-                        }
-                    }
+                b.ftran(&self.cols[j], &mut col.w, &mut col.mask);
+                let touched: usize = col.mask.iter().map(|x| x.count_ones() as usize).sum();
+                col.sparse = touched * DENSE_SHARE <= self.m;
+                if col.sparse {
+                    col.rows
+                        .extend(ones(col.mask.iter().copied()).map(|i| i as u32));
                 }
-                sparse
+                col.mask.fill(0);
             }
             #[cfg(test)]
             Inverse::Dense(d) => {
-                d.ftran(&self.cols[j], w);
-                false
+                d.ftran(&self.cols[j], &mut col.w);
+                col.sparse = false;
             }
         }
     }
 
-    /// y = cᵦᵀ · B⁻¹
-    fn btran(&mut self, costs: &[f64], y: &mut [f64]) {
-        let cb = self.basis.iter().map(|&bi| costs[bi]);
-        self.binv.btran(cb, y);
+    /// Mark the basis rows whose variable has a nonzero cost.
+    fn mark_cost_rows(&mut self, costs: &[f64]) {
+        for (i, &k) in self.basis.iter().enumerate() {
+            set_bit(&mut self.cost_rows, i, costs[k] != 0.0);
+        }
+    }
+
+    /// `y = cᵦᵀ · B⁻¹` over the rows [`Tableau::mark_cost_rows`] marked
+    /// for `costs`, after zeroing what the last btran into `y` wrote.
+    fn btran(&mut self, costs: &[f64], y: &mut Duals) {
+        y.clear();
+        let basis = &self.basis;
+        let rows = ones(self.cost_rows.iter().copied()).map(|i| (i, costs[basis[i]]));
+        self.binv.btran(rows, &mut y.y, &mut y.written);
+    }
+
+    /// The duals `cᵦᵀ · B⁻¹` of the costs the last [`Tableau::optimize`]
+    /// ran.
+    fn duals(&mut self, costs: &[f64]) -> Vec<f64> {
+        let mut y = Duals::new(self.m);
+        self.btran(costs, &mut y);
+        y.y
+    }
+
+    /// The test build's check of one iteration's btran: `y` is zero
+    /// outside the entries it wrote, and equals, bit for bit, a btran
+    /// over every basis row with a nonzero cost.
+    #[cfg(test)]
+    fn check_btran(&mut self, costs: &[f64], y: &Duals) {
+        for (i, v) in y.y.iter().enumerate() {
+            assert!(
+                bit(&y.written, i) || v.to_bits() == 0,
+                "unwritten y[{i}] = {v}"
+            );
+        }
+        let mut full = Duals::new(self.m);
+        let rows: Vec<(usize, f64)> = self
+            .basis
+            .iter()
+            .map(|&k| costs[k])
+            .enumerate()
+            .filter(|&(_, c)| c != 0.0)
+            .collect();
+        self.binv
+            .btran(rows.into_iter(), &mut full.y, &mut full.written);
+        for (i, (a, b)) in y.y.iter().zip(&full.y).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "y[{i}] against a full btran");
+        }
     }
 
     /// True for the variables pricing considers: nonbasic and not fixed.
@@ -783,41 +1128,47 @@ impl<'a> Tableau<'a> {
 
     /// Recompute the reduced cost of every candidate, and zero the
     /// entries of every other variable.
-    fn price_all(&self, costs: &[f64], y: &[f64], d: &mut [f64]) {
-        for (j, dj) in d.iter_mut().enumerate() {
+    fn price_all(&self, costs: &[f64], y: &[f64], pricing: &mut Pricing) {
+        for (j, dj) in pricing.d.iter_mut().enumerate() {
             *dj = if self.candidate(j) {
                 self.reduced_cost(costs, y, j)
             } else {
                 0.0
             };
         }
+        pricing.mark_all(&self.at_upper);
     }
 
-    /// Bring the candidates' reduced costs `d` from the duals `y_prev` to
+    /// Bring the candidates' reduced costs from the duals `y_prev` to
     /// `y`: recompute those of the candidates with an entry in a row whose
     /// dual changed bitwise, and that of `left`, the variable that has
     /// left the basis since (its entry was zero while it was basic).
     /// Every other candidate's sum would read the same operands, so its
-    /// entry already is what [`Tableau::reduced_cost`] returns. Returns
-    /// false, having changed nothing, when the duals changed in too many
-    /// rows for this to beat [`Tableau::price_all`].
+    /// entry already is what [`Tableau::reduced_cost`] returns. Only the
+    /// duals either btran wrote can differ, both being `+0.0` elsewhere,
+    /// so only those are compared — all of them, in one sweep, when they
+    /// are more than a quarter of the rows. Returns false, having changed
+    /// nothing, when the duals changed in too many rows for this to beat
+    /// [`Tableau::price_all`].
     fn reprice(
         &self,
         costs: &[f64],
-        y: &[f64],
-        y_prev: &[f64],
-        d: &mut [f64],
+        y: &Duals,
+        y_prev: &Duals,
+        pricing: &mut Pricing,
         left: Option<usize>,
         changed: &mut Vec<usize>,
     ) -> bool {
         changed.clear();
-        for (i, (now, was)) in y.iter().zip(y_prev).enumerate() {
-            if now.to_bits() != was.to_bits() {
-                changed.push(i);
-                if changed.len() * DENSE_SHARE > self.m {
-                    return false;
-                }
-            }
+        let either = || y.written.iter().zip(&y_prev.written).map(|(a, b)| a | b);
+        let written: usize = either().map(|w| w.count_ones() as usize).sum();
+        let few = if written * DENSE_SHARE > self.m {
+            self.diff_duals(y, y_prev, 0..self.m, changed)
+        } else {
+            self.diff_duals(y, y_prev, ones(either()), changed)
+        };
+        if !few {
+            return false;
         }
         for &ri in changed.iter() {
             let structurals = self.model.rows()[ri].coeffs.iter().map(|(v, _)| v.index());
@@ -826,14 +1177,59 @@ impl<'a> Tableau<'a> {
                 .chain(self.art_of_row[ri])
             {
                 if self.candidate(j) {
-                    d[j] = self.reduced_cost(costs, y, j);
+                    pricing.set(j, self.reduced_cost(costs, &y.y, j), self.at_upper[j]);
                 }
             }
         }
         if let Some(j) = left.filter(|&j| self.candidate(j)) {
-            d[j] = self.reduced_cost(costs, y, j);
+            pricing.set(j, self.reduced_cost(costs, &y.y, j), self.at_upper[j]);
         }
         true
+    }
+
+    /// Push, ascending, the `rows` whose dual differs bitwise between `y`
+    /// and `y_prev` onto `changed`; false as soon as they are more than a
+    /// quarter of the rows.
+    fn diff_duals(
+        &self,
+        y: &Duals,
+        y_prev: &Duals,
+        rows: impl Iterator<Item = usize>,
+        changed: &mut Vec<usize>,
+    ) -> bool {
+        for i in rows {
+            if y.y[i].to_bits() != y_prev.y[i].to_bits() {
+                changed.push(i);
+                if changed.len() * DENSE_SHARE > self.m {
+                    return false;
+                }
+            }
+        }
+        true
+    }
+
+    /// The test build's check of one iteration's pricing: every cached
+    /// reduced cost is what [`Tableau::reduced_cost`] returns, the hot
+    /// set holds exactly the NaN and improving entries, and its scan
+    /// chooses what the full scan chooses.
+    #[cfg(test)]
+    fn check_pricing(&mut self, costs: &[f64], y: &[f64], pricing: &Pricing, bland: bool) {
+        for (j, &dj) in pricing.d.iter().enumerate() {
+            let fresh = if self.candidate(j) {
+                self.reduced_cost(costs, y, j)
+            } else {
+                0.0
+            };
+            assert_eq!(dj.to_bits(), fresh.to_bits(), "cached reduced cost {j}");
+            let hot = is_hot(dj, self.at_upper[j], pricing.dtol);
+            assert_eq!(bit(&pricing.hot, j), hot, "hot bit {j} of d = {dj}");
+        }
+        assert_eq!(
+            pricing.choose(&self.at_upper, bland),
+            choose_full(&pricing.d, &self.at_upper, pricing.dtol, bland),
+            "pricing scan"
+        );
+        self.checked += 1;
     }
 
     /// Recompute basic values from scratch: x_B = B⁻¹ (b − N x_N).
@@ -951,27 +1347,24 @@ impl<'a> Tableau<'a> {
     ) -> StopReason {
         let m = self.m;
         // The duals of this iteration and of the previous one.
-        let (mut y, mut y_prev) = (vec![0.0; m], vec![0.0; m]);
-        // The candidates' reduced costs at `y`, kept from one iteration
-        // to the next while `priced`; `left` is the variable the last
-        // pivot took out of the basis. Every other entry is zero, which
-        // never prices as improving, so the pricing loop need not test
-        // which variables are candidates.
-        let mut d = vec![0.0; self.num_vars()];
-        let mut priced = false;
-        let mut left = None;
-        let mut changed = Vec::new();
-        // The entering column, and the rows a step visits.
-        let mut w = vec![0.0; m];
-        let mut mask = vec![0u64; m.div_ceil(64)];
-        let mut pattern = Vec::new();
-        let every_row: Vec<u32> = (0..m as u32).collect();
-        let mut degen_streak: u32 = 0;
+        let (mut y, mut y_prev) = (Duals::new(m), Duals::new(m));
+        self.mark_cost_rows(costs);
         // Dual-feasibility tolerance, scaled to the cost magnitudes:
         // reduced costs are differences of quantities of order max|c|, so
         // an absolute tolerance far below max|c|·1e-13 would make the
         // pricing loop chase floating-point phantoms forever.
         let dtol = costs.iter().fold(TOL, |a, &c| a.max(c.abs() * 1e-11));
+        // The candidates' reduced costs at `y`, kept from one iteration
+        // to the next while `priced`; `left` is the variable the last
+        // pivot took out of the basis.
+        let mut pricing = Pricing::new(self.num_vars(), dtol);
+        let mut priced = false;
+        let mut left = None;
+        let mut changed = Vec::new();
+        // The entering column, and the rows of a step that visits all.
+        let mut col = Column::new(m);
+        let every_row: Vec<u32> = (0..m as u32).collect();
+        let mut degen_streak: u32 = 0;
         // Sticky anti-cycling: once Bland's rule engages it stays engaged
         // until the objective makes real progress — otherwise floating-
         // point noise produces one tiny positive step inside a degenerate
@@ -1008,59 +1401,34 @@ impl<'a> Tableau<'a> {
             }
             std::mem::swap(&mut y, &mut y_prev);
             self.btran(costs, &mut y);
+            #[cfg(test)]
+            self.check_btran(costs, &y);
             let stale = left.take();
-            priced = priced && self.reprice(costs, &y, &y_prev, &mut d, stale, &mut changed);
+            let repriced =
+                priced && self.reprice(costs, &y, &y_prev, &mut pricing, stale, &mut changed);
+            #[cfg(test)]
+            {
+                self.reprice_fallbacks += u32::from(priced && !repriced);
+            }
+            priced = repriced;
             if !priced {
-                self.price_all(costs, &y, &mut d);
+                self.price_all(costs, &y.y, &mut pricing);
                 // The dense oracle prices in full every iteration.
                 priced = matches!(self.binv, Inverse::Sparse(_));
             }
             #[cfg(test)]
-            for (j, dj) in d.iter().enumerate() {
-                let fresh = if self.candidate(j) {
-                    self.reduced_cost(costs, &y, j)
-                } else {
-                    0.0
-                };
-                assert_eq!(dj.to_bits(), fresh.to_bits(), "cached reduced cost {j}");
-            }
-            let bland = bland_mode;
-            let mut enter: Option<(usize, f64, f64)> = None; // (var, d, sigma)
-            let mut best_score = 0.0_f64;
-            let mut saw_nan = false;
-            for (j, (&dj, &upper)) in d.iter().zip(&self.at_upper).enumerate() {
-                if dj.is_nan() {
-                    saw_nan = true;
-                    break;
+            self.check_pricing(costs, &y.y, &pricing, bland_mode);
+            let (j, dj, sigma) = match pricing.choose(&self.at_upper, bland_mode) {
+                Priced::Enter { j, d, sigma } => (j, d, sigma),
+                Priced::Optimal => return StopReason::Optimal,
+                Priced::Nan => {
+                    health.nan_events += 1;
+                    return StopReason::Numerical;
                 }
-                let sigma = if upper { -1.0 } else { 1.0 };
-                // Improving when moving off the bound reduces cost.
-                if dj * sigma < -dtol {
-                    if bland {
-                        enter = Some((j, dj, sigma));
-                        break;
-                    }
-                    let score = dj.abs();
-                    if enter.is_none() || score > best_score {
-                        best_score = score;
-                        enter = Some((j, dj, sigma));
-                    }
-                }
-            }
-            if saw_nan {
-                health.nan_events += 1;
-                return StopReason::Numerical;
-            }
-            let (j, _dj, sigma) = match enter {
-                Some(e) => e,
-                None => return StopReason::Optimal,
             };
 
-            let rows = if self.ftran(j, &mut w, &mut mask, &mut pattern) {
-                &pattern
-            } else {
-                &every_row
-            };
+            self.ftran(j, &mut col);
+            let (w, rows) = (&col.w, if col.sparse { &col.rows } else { &every_row });
 
             // Ratio test. x_B(t) = x_B − σ t w; entering moves σt from its
             // bound; it may also flip to its opposite bound. Ties are
@@ -1095,7 +1463,7 @@ impl<'a> Tableau<'a> {
                             // Two basic candidates within TOL of each other:
                             // a genuine ratio-test tie, whichever side wins.
                             health.ratio_test_ties += 1;
-                            if bland {
+                            if bland_mode {
                                 self.basis[i] < self.basis[li]
                             } else {
                                 w[i].abs() > w[li].abs()
@@ -1128,7 +1496,7 @@ impl<'a> Tableau<'a> {
                 // Bland's rule only after progress that is tangible *at
                 // the problem's cost scale* (an absolute epsilon would be
                 // indistinguishable from round-off when costs are ~1e8).
-                progress_since_bland += _dj.abs() * t_best;
+                progress_since_bland += dj.abs() * t_best;
                 if progress_since_bland > dtol {
                     bland_mode = false;
                     degen_streak = 0;
@@ -1157,6 +1525,7 @@ impl<'a> Tableau<'a> {
                     } else {
                         self.lo[j]
                     };
+                    pricing.mark(j, self.at_upper[j]);
                 }
                 Some((r, leaves_upper)) => {
                     let k = self.basis[r];
@@ -1170,9 +1539,10 @@ impl<'a> Tableau<'a> {
                     self.in_basis[k] = false;
                     self.basis[r] = j;
                     self.in_basis[j] = true;
-                    d[j] = 0.0;
+                    set_bit(&mut self.cost_rows, r, costs[j] != 0.0);
+                    pricing.set(j, 0.0, self.at_upper[j]);
                     left = Some(k);
-                    self.binv.pivot(r, &w, rows);
+                    self.binv.pivot(r, w, rows);
                 }
             }
         }
@@ -1297,8 +1667,7 @@ impl Tableau<'_> {
             }
             if infeas > 1e-6 {
                 if let Some(d) = duals.as_deref_mut() {
-                    d.y = vec![0.0; self.m];
-                    self.btran(&costs, &mut d.y);
+                    d.y = self.duals(&costs);
                     clamp_duals(model, &mut d.y);
                     d.farkas = true;
                 }
@@ -1336,8 +1705,7 @@ impl Tableau<'_> {
             return abort(StopReason::Numerical, self.iters, health);
         }
         if let Some(d) = duals {
-            d.y = vec![0.0; self.m];
-            self.btran(&costs, &mut d.y);
+            d.y = self.duals(&costs);
             clamp_duals(model, &mut d.y);
         }
         LpOutcome::Optimal {
@@ -1725,40 +2093,55 @@ mod tests {
         }
     }
 
-    /// K's positions and columns agree; every nonzero block entry is
-    /// listed exactly once, in its row's and its position's list; the
-    /// lists agree with the bitset; and past K every block entry is zero.
+    /// K's positions and columns agree; each slot belongs to one row,
+    /// the rows with a slot are those that list an entry, and the block
+    /// holds one row per slot; every nonzero block entry is listed
+    /// exactly once, in its slot's and its position's list; the lists
+    /// agree with the bitset; and past K every block entry is zero.
     fn assert_index_consistent(inv: &BasisInverse) {
         let (m, k, stride) = (inv.m, inv.kcols.len(), inv.stride);
+        let slots = inv.slot_row.len();
         assert!(k <= stride && stride <= m, "K {k}, stride {stride}, m {m}");
         for (p, &col) in inv.kcols.iter().enumerate() {
             assert_eq!(inv.pos[col as usize], p as u32, "position of column {col}");
         }
         assert_eq!(inv.pos.iter().filter(|&&p| p != OUTSIDE).count(), k);
-        let mut in_rows = vec![0u32; m * k];
-        for (i, ps) in inv.row_nz.iter().enumerate() {
+        for (s, &i) in inv.slot_row.iter().enumerate() {
+            assert_eq!(inv.slot[i as usize], s as u32, "slot {s} of row {i}");
+            assert!(
+                !inv.row_nz[s].is_empty(),
+                "slot {s} of row {i} lists nothing"
+            );
+        }
+        let slotted = inv.slot.iter().filter(|&&s| s != OUTSIDE).count();
+        assert_eq!(slotted, slots, "rows with a slot");
+        assert_eq!(inv.block.len(), slots * stride, "block rows");
+        assert_eq!(inv.listed.len(), slots * inv.words, "listed bits");
+        assert_eq!((inv.row_nz.len(), inv.full.len()), (slots, slots));
+        let mut in_rows = vec![0u32; slots * k];
+        for (s, ps) in inv.row_nz.iter().enumerate() {
             for &p in ps {
-                in_rows[i * k + p as usize] += 1;
+                in_rows[s * k + p as usize] += 1;
             }
         }
-        let mut in_cols = vec![0u32; m * k];
-        for (p, rows) in inv.col_nz.iter().enumerate() {
-            for &i in rows {
-                in_cols[i as usize * k + p] += 1;
+        let mut in_cols = vec![0u32; slots * k];
+        for (p, ss) in inv.col_nz.iter().enumerate() {
+            for &s in ss {
+                in_cols[s as usize * k + p] += 1;
             }
         }
-        for i in 0..m {
+        for s in 0..slots {
             for p in 0..stride {
-                let v = inv.block[i * stride + p];
+                let v = inv.block[s * stride + p];
                 if p >= k {
-                    assert_eq!(v, 0.0, "value past K at ({i}, {p})");
+                    assert_eq!(v, 0.0, "value past K at slot {s}, position {p}");
                     continue;
                 }
-                let bit = inv.listed[i * inv.words + p / 64] >> (p % 64) & 1 == 1;
-                let e = i * k + p;
-                assert_eq!(in_rows[e], u32::from(bit), "({i}, {p}) in row lists");
-                assert_eq!(in_cols[e], u32::from(bit), "({i}, {p}) in column lists");
-                assert!(bit || v == 0.0, "unlisted nonzero at ({i}, {p})");
+                let bit = bit(&inv.listed[s * inv.words..], p);
+                let e = s * k + p;
+                assert_eq!(in_rows[e], u32::from(bit), "({s}, {p}) in row lists");
+                assert_eq!(in_cols[e], u32::from(bit), "({s}, {p}) in column lists");
+                assert!(bit || v == 0.0, "unlisted nonzero at ({s}, {p})");
             }
         }
     }
@@ -1790,49 +2173,87 @@ mod tests {
             twin.refactorize();
             assert_index_consistent(sparse(&t));
             let m = t.m;
-            let (mut a, mut b) = (vec![0.0; m], vec![0.0; m]);
-            let mut mask = vec![0; m.div_ceil(64)];
-            let mut rows = Vec::new();
+            let (mut a, mut b) = (Column::new(m), Column::new(m));
             for j in 0..t.num_vars() {
-                twin.ftran(j, &mut b, &mut mask, &mut rows);
-                if t.ftran(j, &mut a, &mut mask, &mut rows) {
-                    let listed: Vec<usize> = rows.iter().map(|&i| i as usize).collect();
-                    let nonzero: Vec<usize> = (0..m).filter(|&i| b[i] != 0.0).collect();
+                twin.ftran(j, &mut b);
+                t.ftran(j, &mut a);
+                if a.sparse {
+                    let nonzero: Vec<u32> =
+                        (0..m as u32).filter(|&i| b.w[i as usize] != 0.0).collect();
                     assert!(
-                        nonzero.iter().all(|i| listed.binary_search(i).is_ok()),
-                        "case {case} ftran {j}: rows {listed:?} miss {nonzero:?}"
+                        nonzero.iter().all(|i| a.rows.binary_search(i).is_ok()),
+                        "case {case} ftran {j}: rows {:?} miss {nonzero:?}",
+                        a.rows
                     );
                 }
-                assert_eq!(bits(&a), bits(&b), "case {case} ftran {j}");
+                assert_eq!(bits(&a.w), bits(&b.w), "case {case} ftran {j}");
             }
-            t.btran(&costs, &mut a);
-            twin.btran(&costs, &mut b);
-            assert_eq!(bits(&a), bits(&b), "case {case} btran");
-            t.binv.apply(&t.b, &mut a);
-            twin.binv.apply(&twin.b, &mut b);
-            assert_eq!(bits(&a), bits(&b), "case {case} apply");
+            let (mut ya, mut yb) = (Duals::new(m), Duals::new(m));
+            t.btran(&costs, &mut ya);
+            twin.btran(&costs, &mut yb);
+            assert_eq!(bits(&ya.y), bits(&yb.y), "case {case} btran");
+            let (mut xa, mut xb) = (vec![0.0; m], vec![0.0; m]);
+            t.binv.apply(&t.b, &mut xa);
+            twin.binv.apply(&twin.b, &mut xb);
+            assert_eq!(bits(&xa), bits(&xb), "case {case} apply");
         }
+    }
+
+    /// A small LP on which Dantzig's rule stalls: `n` variables that all
+    /// price as improving, chained by the rows `x_i - x_{i+1} <= 0`, all
+    /// tight at the origin, and only the last capped, at `1/2`. Each
+    /// variable in turn enters against the next one's row without moving,
+    /// so the first `n - 1` pivots are degenerate.
+    fn degenerate_staircase(n: usize) -> Model {
+        let mut m = Model::new();
+        let x: Vec<_> = (0..n).map(|_| m.add_var(-1.0, "x")).collect();
+        for i in 0..n - 1 {
+            m.add_le(vec![(x[i], 1.0), (x[i + 1], -1.0)], 0.0);
+        }
+        m.add_le(vec![(x[n - 1], 2.0)], 1.0);
+        m
     }
 
     /// The property's models reach every path the kernels serve: phase 1
     /// over artificials, bound flips, the periodic basic-value refresh, a
-    /// K that outgrows the first block width, and pivots both through
-    /// the row lists and in dense sweeps.
+    /// K that outgrows the first block width, pivots both through the
+    /// row lists and in dense sweeps, a solve that ends with rows no
+    /// pivot reached, and a reprice that falls back to pricing every
+    /// candidate. Random models seldom stall long enough for Bland's
+    /// rule, so a fixed degenerate one engages it, against the dense
+    /// oracle.
+    ///
+    /// Every iteration of these solves checks its shortcuts against
+    /// full-length recomputations: [`Tableau::check_btran`] the duals and
+    /// the entries btran zeroed, [`Tableau::check_pricing`] the cached
+    /// reduced costs, the hot set and the entering variable, and
+    /// [`Tableau::ftran`] the entries it zeroes. The dense oracle shares
+    /// the pricing set, btran's rows and the zeroing, so the kernel
+    /// comparison cannot catch a slip in them; these checks do, on the
+    /// iteration that makes it. The test asserts that they ran on every
+    /// iteration.
     #[test]
     fn kernel_property_covers_phase1_flips_and_refresh() {
         let runner = TestRunner::new(ProptestConfig::with_cases(KERNEL_CASES));
         let (mut phase1, mut flips, mut refresh) = (false, false, false);
         let (mut relayout, mut dense, mut listed) = (false, false, false);
+        let (mut unslotted, mut fallback) = (false, false);
         for i in 0..runner.cases() {
             let (model, lb, ub) = lp_case().generate(&mut runner.rng_for(i)).build();
             let mut t = Tableau::new(&model, &lb, &ub, Kernels::Sparse);
             let artificials = t.num_vars() > model.num_vars() + model.num_rows();
             let mut health = SolverHealth::default();
             let out = t.solve(100_000, Deadline::unlimited(), &mut health, None);
+            // A numerical stop may leave before its iteration prices.
+            if !matches!(out, LpOutcome::Numerical { .. }) {
+                assert_eq!(t.checked, out.iters(), "iterations checked");
+            }
             let inv = sparse(&t);
             relayout |= inv.relayouts > 0;
             dense |= inv.dense_pivots > 0;
             listed |= health.pivots > u64::from(inv.dense_pivots);
+            unslotted |= inv.slot_row.len() < t.m;
+            fallback |= t.reprice_fallbacks > 0;
             // Every `optimize` call that ends optimal spends one
             // iteration finding no entering variable; every other
             // iteration pivots or flips a bound.
@@ -1853,12 +2274,40 @@ mod tests {
             relayout && dense && listed,
             "re-layout {relayout}, dense pivots {dense}, listed pivots {listed}"
         );
+        assert!(
+            unslotted && fallback,
+            "unslotted rows {unslotted}, reprice fallback {fallback}"
+        );
+        let model = degenerate_staircase(80);
+        let (lb, ub) = bounds(model.num_vars());
+        let solve = |kernels: Kernels| {
+            let mut t = Tableau::new(&model, &lb, &ub, kernels);
+            let mut health = SolverHealth::default();
+            let mut duals = DualInfo::default();
+            let out = t.solve(
+                100_000,
+                Deadline::unlimited(),
+                &mut health,
+                Some(&mut duals),
+            );
+            assert_eq!(t.checked, out.iters(), "{kernels:?} iterations checked");
+            (out, duals, health)
+        };
+        let (sparse, sd, sh) = solve(Kernels::Sparse);
+        let (dense, dd, dh) = solve(Kernels::Dense);
+        match &sparse {
+            LpOutcome::Optimal { obj, .. } => assert!((obj + 40.0).abs() < 1e-9, "obj {obj}"),
+            o => panic!("unexpected {o:?}"),
+        }
+        assert!(sh.cycling_events > 0, "Bland's rule never engaged: {sh:?}");
+        assert_eq!((&sparse, bits(&sd.y), &sh), (&dense, bits(&dd.y), &dh));
     }
 
     /// A relaxation of a large model that stops at a 300-iteration cap
     /// keeps its inverse in at most `m × (pivots + 1)` values, in a block
-    /// allocated at most twice as wide as K (its stride doubles), so its
-    /// memory grows with the pivots, not with `m²`.
+    /// allocated at most twice as wide as K (its stride doubles) with one
+    /// row per row a pivot has reached, so its memory grows with the
+    /// pivots, not with `m²`, and not even with `m`.
     #[test]
     fn inverse_store_grows_with_pivots_not_rows() {
         let mut rng = TestRunner::new(ProptestConfig::with_cases(1)).rng_for(0);
@@ -1883,6 +2332,18 @@ mod tests {
         assert!(
             inv.block.len() <= 2 * m * k,
             "a {m} × {} block for K {k}",
+            inv.stride
+        );
+        let slots = inv.slot_row.len();
+        assert!(
+            inv.block.len() == slots * inv.stride && slots < m,
+            "a block of {} values for {slots} slotted rows of {m}, stride {}",
+            inv.block.len(),
+            inv.stride
+        );
+        assert!(
+            inv.block.len() <= 2 * slots * k,
+            "a {slots} × {} block for K {k}",
             inv.stride
         );
     }
